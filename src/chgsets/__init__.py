@@ -22,7 +22,6 @@ from .bounds import (
     zarankiewicz_bound,
 )
 from .constructions import (
-    ConstructionParams,
     detect_bad,
     embedded_c33,
     freiman_embed,
@@ -37,8 +36,6 @@ from .constructions import (
 from .errors import ParameterError, ResourceCapError, RetryExhaustedError
 from .fields import (
     ExtField,
-    PrimeField,
-    additive_coords,
     ext_add,
     ext_field,
     ext_mul,

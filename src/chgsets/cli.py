@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 import time
 
 from . import __version__
 from .bounds import BoundReport, group_bound, main_term_bound
 from .constructions import (
+    DEFAULT_MAX_ATTEMPTS,
     embedded_c33,
     freiman_embed,
     norm_set,
@@ -30,14 +31,16 @@ from .constructions import (
     weak_random_set,
 )
 from .errors import ParameterError, ResourceCapError, RetryExhaustedError
-from .groups import GSet, Interval, Product, subset_count
+from .groups import GSet, Interval, Product
 from .rng import RNG_NAME, RNG_VERSION
 from .setio import group_to_string, read_set, write_pbm, write_set, zmatrix_summary
 from .verify import (
+    DEFAULT_ORDER_CAP,
     DEFAULT_SUBSET_CAP,
     Verdict,
     build_zmatrix,
     check_kgh_free,
+    check_kgh_params,
     verify_chg,
     verify_weak_chg,
 )
@@ -96,10 +99,10 @@ def _emit(report) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _auto_verify(group, gs: GSet, h: int, g: int, cap: int) -> Verdict | None:
-    if subset_count(len(gs), h) > cap:
+def _auto_verify(gs: GSet, h: int, g: int, cap: int) -> Verdict | None:
+    if math.comb(len(gs), h) > cap:
         return None
-    return verify_chg(group, gs, h, g, subset_cap=cap)
+    return verify_chg(gs, h, g, subset_cap=cap)
 
 
 def _cmd_construct_sphere(args) -> int:
@@ -115,7 +118,7 @@ def _cmd_construct_sphere(args) -> int:
             gs = embedded_c33(args.embed)
     else:
         gs = sphere_set(args.p)
-    verdict = _auto_verify(gs.group, gs, 3, 3, args.subset_cap)
+    verdict = _auto_verify(gs, 3, 3, args.subset_cap)
     if args.out:
         write_set(args.out, gs)
     # interval sets are bounded through their image in Z_{2n}
@@ -123,7 +126,7 @@ def _cmd_construct_sphere(args) -> int:
     bounds_cols = {"bound_group": group_bound(ambient, 3, 3)}
     _emit(_report(
         "construct sphere",
-        {"p": args.p, "embed": args.embed, "out": args.out, "threads": args.threads},
+        {"p": args.p, "embed": args.embed, "out": args.out},
         group=group_to_string(gs.group),
         set_size=len(gs),
         bound_columns=bounds_cols,
@@ -140,14 +143,14 @@ def _cmd_construct_norm(args) -> int:
         gs = freiman_embed(2 * args.q, gs)
         window = 2 ** (args.h - 1) * args.q**args.h
         gs = rewindow(gs, window)
-    verdict = _auto_verify(gs.group, gs, args.h, guarantee, args.subset_cap)
+    verdict = _auto_verify(gs, args.h, guarantee, args.subset_cap)
     if args.out:
         write_set(args.out, gs)
     n_amb = 2 * gs.group.n if isinstance(gs.group, Interval) else gs.group.q**gs.group.d
     _emit(_report(
         "construct norm",
         {"q": args.q, "h": args.h, "g": guarantee, "embed": bool(args.embed),
-         "out": args.out, "threads": args.threads},
+         "out": args.out},
         group=group_to_string(gs.group),
         set_size=len(gs),
         bound_columns={"bound_group": group_bound(n_amb, args.h, guarantee)},
@@ -162,14 +165,14 @@ def _cmd_construct_weak(args) -> int:
     gs, attempts, sizes = weak_random_set(
         args.n, args.h, args.g, args.seed, max_attempts=args.max_attempts
     )
-    verdict = verify_weak_chg(gs.group, gs, args.h, args.g, subset_cap=args.subset_cap)
+    verdict = verify_weak_chg(gs, args.h, args.g, subset_cap=args.subset_cap)
     if args.out:
         write_set(args.out, gs)
     report = BoundReport.compute(args.n, args.h, args.g)
     _emit(_report(
         "construct weak",
         {"n": args.n, "h": args.h, "g": args.g, "max_attempts": args.max_attempts,
-         "out": args.out, "threads": args.threads},
+         "out": args.out},
         group=group_to_string(gs.group),
         set_size=len(gs),
         bound_columns={
@@ -189,11 +192,10 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     gs = read_set(args.set)
     checker = verify_weak_chg if args.weak else verify_chg
-    verdict = checker(gs.group, gs, args.h, args.g, subset_cap=args.subset_cap)
+    verdict = checker(gs, args.h, args.g, subset_cap=args.subset_cap)
     _emit(_report(
         "verify",
-        {"set": args.set, "h": args.h, "g": args.g, "weak": bool(args.weak),
-         "threads": args.threads},
+        {"set": args.set, "h": args.h, "g": args.g, "weak": bool(args.weak)},
         group=group_to_string(gs.group),
         set_size=len(gs),
         verdict=_verdict_out(gs.group, verdict),
@@ -223,7 +225,7 @@ def _cmd_search(args) -> int:
     _emit(_report(
         "search",
         {"n_max": args.n_max, "h": args.h, "g": args.g, "node_cap": args.node_cap,
-         "csv": args.csv, "threads": args.threads},
+         "csv": args.csv},
         group=group_to_string(Interval(args.n_max)),
         set_size=results[-1].best_size,
         data={"table": rows,
@@ -236,15 +238,15 @@ def _cmd_search(args) -> int:
 def _cmd_zmatrix(args) -> int:
     started = time.monotonic()
     gs = read_set(args.set)
-    zm = build_zmatrix(gs.group, gs, order_cap=args.order_cap)
+    check_kgh_params(gs.group, args.g, args.h, subset_cap=args.subset_cap)
+    zm = build_zmatrix(gs, order_cap=args.order_cap)
     verdict = check_kgh_free(zm, args.g, args.h, subset_cap=args.subset_cap)
     if args.pbm:
         write_pbm(args.pbm, zm)
     summary = zmatrix_summary(zm, args.g, args.h, verdict.holds)
     _emit(_report(
         "zmatrix",
-        {"set": args.set, "g": args.g, "h": args.h, "pbm": args.pbm,
-         "threads": args.threads},
+        {"set": args.set, "g": args.g, "h": args.h, "pbm": args.pbm},
         group=group_to_string(gs.group),
         set_size=len(gs),
         verdict=_verdict_out(gs.group, verdict),
@@ -269,8 +271,7 @@ def _cmd_bounds(args) -> int:
         cols["zarankiewicz"] = report.zarankiewicz
     _emit(_report(
         "bounds",
-        {"n": args.n, "h": args.h, "g": args.g, "m": args.m, "s": args.s, "t": args.t,
-         "threads": args.threads},
+        {"n": args.n, "h": args.h, "g": args.g, "m": args.m, "s": args.s, "t": args.t},
         bound_columns=cols,
         started=started,
     ))
@@ -286,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP,
                        help="max enumerated subsets before a resource error")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker budget (results are independent of it)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     weak.add_argument("--h", type=int, required=True)
     weak.add_argument("--g", type=int, required=True)
     weak.add_argument("--seed", type=int, required=True)
-    weak.add_argument("--max-attempts", type=int, default=64)
+    weak.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     weak.add_argument("--out", default=None)
     common(weak)
     weak.set_defaults(func=_cmd_construct_weak)
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     zmatrixp.add_argument("--g", type=int, required=True)
     zmatrixp.add_argument("--h", type=int, required=True)
     zmatrixp.add_argument("--pbm", default=None, help="write the matrix as plain PBM")
-    zmatrixp.add_argument("--order-cap", type=int, default=512)
+    zmatrixp.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     common(zmatrixp)
     zmatrixp.set_defaults(func=_cmd_zmatrix)
 

@@ -15,32 +15,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
 
 from .bounds import sample_density
 from .errors import ParameterError, ResourceCapError, RetryExhaustedError
-from .fields import additive_coords, ext_field, is_prime, iter_field, norm, quadratic_character
-from .groups import GSet, Interval, Product, gset
+from .fields import DEFAULT_FIELD_CAP, ext_field, is_prime, iter_field, norm, quadratic_character
+from .groups import GSet, Interval, Product, enumerate_pattern_classes, gset
 from .rng import SplitMix64
 from .verify import verify_weak_chg
 
 DEFAULT_SPHERE_CAP = 2**20  # on p^3
-DEFAULT_FIELD_CAP = 4096  # on q^h
 DEFAULT_MAX_ATTEMPTS = 64
-
-
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Parameters of one construction run, as echoed into reports."""
-
-    kind: str  # sphere | norm | embedded | sidon | weak
-    p: int | None = None
-    q: int | None = None
-    h: int | None = None
-    g: int | None = None
-    n: int | None = None
-    seed: int | None = None
 
 
 def sphere_alpha(p: int) -> int:
@@ -92,7 +76,8 @@ def norm_set(q: int, h: int, max_order: int = DEFAULT_FIELD_CAP):
     (q^h - 1)/(q - 1) (asserted).
     """
     field = ext_field(q, h, cap=max_order)
-    elems = [additive_coords(field, x) for x in iter_field(field) if norm(field, x) == 1]
+    # the polynomial-basis coefficient vector is the additive image in Z_q^h
+    elems = [x for x in iter_field(field) if norm(field, x) == 1]
     result = gset(Product(q, h), elems)
     expected = (q**h - 1) // (q - 1)
     if len(result) != expected:
@@ -183,21 +168,12 @@ def detect_bad(sample: GSet, h: int, g: int) -> GSet:
         # unlike the verifiers, the bad-element definition does not need
         # the g >= h convention, and checks with g < h are meaningful
         raise ParameterError(f"need h >= 2 and g >= 2, got h={h}, g={g}")
-    elems = sample.elems
-    if len(elems) < g * h:
+    if len(sample) < g * h:
         return gset(sample.group, [])
-    classes: dict = {}
-    for subset in combinations(elems, h):
-        base = subset[0]
-        key = tuple(x - base for x in subset[1:])
-        classes.setdefault(key, []).append(base)
     bad: set = set()
-    for key, bases in classes.items():
-        if len(bases) < g:
-            continue
-        bases.sort()
-        pattern = (0,) + key
-        diffs = {x - y for x in pattern for y in pattern}
+    for pc in enumerate_pattern_classes(sample, h, g):
+        bases = pc.bases
+        diffs = {x - y for x in pc.pattern.elems for y in pc.pattern.elems}
         for idx in range(g - 1, len(bases)):
             m = bases[idx]
             if m in bad:
@@ -250,7 +226,7 @@ def weak_random_set(
         bad = detect_bad(sample, h, g)
         if len(sample) >= np_target / 2 and len(bad) <= np_target / 4:
             survivors = gset(Interval(n), sorted(set(sample.elems) - set(bad.elems)))
-            verdict = verify_weak_chg(Interval(n), survivors, h, g)
+            verdict = verify_weak_chg(survivors, h, g)
             if not verdict.holds:
                 raise RuntimeError("deletion left a weak violation (impossible)")
             return survivors, attempt + 1, (len(sample), len(bad), len(survivors))

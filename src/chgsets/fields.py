@@ -27,7 +27,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -46,17 +46,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """F_p; primality is checked at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParameterError(f"{self.p} is not prime")
 
 
 def quadratic_character(p: int, a: int) -> int:
@@ -244,8 +233,3 @@ def norm(field: ExtField, x) -> int:
     if any(c != 0 for c in y[1:]):
         raise RuntimeError(f"norm of {x} not in base field: {y} (broken modulus?)")
     return y[0]
-
-
-def additive_coords(field: ExtField, x) -> tuple:
-    """Additive-group isomorphism onto Z_q^h: the coefficient vector itself."""
-    return tuple(x)

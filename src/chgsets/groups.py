@@ -10,7 +10,13 @@ Elements are plain ints (cyclic / interval) or d-tuples of ints (product),
 always reduced to canonical residues for the group kinds.  The natural
 Python ordering (numeric, or lexicographic on tuples) is the canonical
 element order, and ``elem_key`` provides an order-compatible mixed-radix
-integer encoding used by the hot counting loops elsewhere.
+integer encoding.
+
+``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
+into translation classes; every verifier and the bad-element detection
+read their verdicts from it.  It counts members under packed-integer
+pattern keys (built from ``elem_key``), then collects offsets only for the
+classes the caller asked for.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -19,8 +25,9 @@ them to the 1-based window {1, ..., n}.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import chain, combinations, product as iter_product
 
 from .errors import ParameterError
 
@@ -181,12 +188,13 @@ def _gset_unchecked(group, sorted_elems) -> GSet:
     return GSet(group, tuple(sorted_elems))
 
 
-def translate(group, xs: GSet, k) -> GSet:
+def translate(xs: GSet, k) -> GSet:
     """The translate {x + k : x in X}; cardinality is always preserved.
 
     Interval translates may leave the window, which is why the result skips
     range validation for that kind.
     """
+    group = xs.group
     shifted = sorted(add(group, x, k) for x in xs.elems)
     if len(set(shifted)) != len(xs.elems):
         raise ParameterError(f"translation by {k!r} collapsed elements in {group}")
@@ -216,13 +224,13 @@ def canonical_shift_tuple(group, subset):
     return best, best_shift
 
 
-def canonicalize(group, xs: GSet):
+def canonicalize(xs: GSet):
     """Canonical representative of the translation class of X.
 
     Returns ``(pattern, shift)`` with ``pattern = X - shift``.
     """
-    pattern, shift = canonical_shift_tuple(group, xs.elems)
-    return _gset_unchecked(group, pattern), shift
+    pattern, shift = canonical_shift_tuple(xs.group, xs.elems)
+    return _gset_unchecked(xs.group, pattern), shift
 
 
 def stabilizer(group, pattern):
@@ -236,18 +244,13 @@ def stabilizer(group, pattern):
     return [t for t in pattern if all(add(group, x, t) in pset for x in pattern)]
 
 
-def h_subsets_colex(elems, h):
-    """h-subsets of a sorted sequence in colexicographic order."""
-
-    def gen(k, limit):
-        if k == 0:
-            yield ()
-            return
-        for last in range(k - 1, limit):
-            for rest in gen(k - 1, last):
-                yield rest + (elems[last],)
-
-    yield from gen(h, len(elems))
+def stabilizer_bound(group, h: int) -> int:
+    """Largest possible stabilizer of an h-element pattern: 1 in Z, and
+    gcd(h, |G|) in a group, since a stabilizer is a subgroup whose cosets
+    tile the pattern."""
+    if isinstance(group, Interval):
+        return 1
+    return math.gcd(h, order(group))
 
 
 @dataclass(frozen=True)
@@ -264,35 +267,137 @@ class PatternClass:
     bases: tuple
 
 
-def enumerate_pattern_classes(group, host: GSet, h: int) -> list:
-    """Partition the h-subsets of ``host`` into translation classes.
+def _pack(digits, radix: int) -> int:
+    key = 0
+    for d in digits:
+        key = key * radix + d
+    return key
 
-    Returns classes sorted by canonical pattern.  The number of member
-    subsets summed over classes is C(|host|, h); the ``bases`` lists are
-    exhaustive offset lists, which coincide with the member subsets except
-    when a pattern has a nontrivial stabilizer (then each member accounts
-    for |stabilizer| offsets).
+
+def _unpack(key: int, radix: int, count: int) -> list:
+    digits = [0] * count
+    for i in range(count - 1, -1, -1):
+        key, digits[i] = divmod(key, radix)
+    return digits
+
+
+def _subset_keys(group, elems, h: int):
+    """Packed class keys of the h-subsets of ``elems``, in ``combinations``
+    order.
+
+    A key packs the nonzero offsets of the canonical pattern, ascending, as
+    base-``radix`` digits: for group kinds, element keys of the offsets from
+    whichever member gives the smallest key (the lexicographically smallest
+    pattern); for intervals, the offsets from the minimum.  Key order is
+    thus pattern order.  Returns ``(keys, radix, shift_of)``: ``keys()``
+    iterates over one key per subset; ``shift_of(idx, key)`` is an element
+    x of the subset at indices ``idx`` with subset - x the pattern of
+    ``key``.  The h = 2 and h = 3 cases are unrolled for speed.
+    """
+    m = len(elems)
+    if isinstance(group, Interval):
+        radix = elems[-1] - elems[0] + 1
+
+        def keys():
+            if h == 2:
+                return chain.from_iterable(
+                    map((-a).__add__, elems[i + 1 :]) for i, a in enumerate(elems)
+                )
+            if h == 3:
+                return chain.from_iterable(
+                    map(((elems[j] - a) * radix - a).__add__, elems[j + 1 :])
+                    for i, a in enumerate(elems)
+                    for j in range(i + 1, m - 1)
+                )
+            return (_pack([x - s[0] for x in s[1:]], radix) for s in combinations(elems, h))
+
+        def shift_of(idx, key):
+            return elems[idx[0]]
+
+        return keys, radix, shift_of
+
+    radix = order(group)
+    # diff[i][j] is the key of elems[j] - elems[i]
+    diff = [[elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
+
+    def key_from(idx, t):
+        row = diff[t]
+        return _pack(sorted(row[u] for u in idx if u != t), radix)
+
+    def shift_of(idx, key):
+        return next(elems[t] for t in idx if key_from(idx, t) == key)
+
+    if h == 2:
+        cols = list(zip(*diff))
+
+        def keys():
+            return chain.from_iterable(
+                map(min, diff[i][i + 1 :], cols[i][i + 1 :]) for i in range(m)
+            )
+    elif h == 3:
+        def keys():
+            # the smallest of the three sorted offset pairs, one per member
+            for i in range(m - 2):
+                row_i = diff[i]
+                for j in range(i + 1, m - 1):
+                    row_j = diff[j]
+                    dij = row_i[j]
+                    dji = row_j[i]
+                    for k in range(j + 1, m):
+                        row_k = diff[k]
+                        u1, v1 = dij, row_i[k]
+                        if u1 > v1:
+                            u1, v1 = v1, u1
+                        u2, v2 = dji, row_j[k]
+                        if u2 > v2:
+                            u2, v2 = v2, u2
+                        if u2 < u1 or (u2 == u1 and v2 < v1):
+                            u1, v1 = u2, v2
+                        u3, v3 = row_k[i], row_k[j]
+                        if u3 > v3:
+                            u3, v3 = v3, u3
+                        if u3 < u1 or (u3 == u1 and v3 < v1):
+                            u1, v1 = u3, v3
+                        yield u1 * radix + v1
+    else:
+        def keys():
+            return (min(key_from(idx, t) for t in idx) for idx in combinations(range(m), h))
+    return keys, radix, shift_of
+
+
+def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
+    """Translation classes of h-subsets of ``host`` with at least
+    ``min_members`` member subsets, sorted by canonical pattern.
+
+    The count pass counts the member subsets of every class under packed
+    keys.  The shift pass enumerates the subsets again and collects shifts
+    only for the classes that passed the filter, so the full key set is
+    never copied or sorted.  ``bases`` lists every offset, which differs
+    from the member subsets only for a pattern with a nontrivial stabilizer
+    (each member then accounts for |stabilizer| offsets).
     """
     if h < 2:
         raise ParameterError(f"pattern size h must be >= 2, got {h}")
-    elems = host.elems
+    group, elems = host.group, host.elems
     if h > len(elems):
         return []
-    classes: dict = {}
-    for subset in h_subsets_colex(elems, h):
-        pattern, shift = canonical_shift_tuple(group, subset)
-        classes.setdefault(pattern, []).append(shift)
+    keys, radix, shift_of = _subset_keys(group, elems, h)
+    counts = Counter(keys())
+    shifts = {key: [] for key, c in counts.items() if c >= min_members}
+    del counts
+    if shifts:
+        for key, idx in zip(keys(), combinations(range(len(elems)), h)):
+            members = shifts.get(key)
+            if members is not None:
+                members.append(shift_of(idx, key))
+    periodic = stabilizer_bound(group, h) > 1
     out = []
-    for pattern in sorted(classes):
-        shifts = classes[pattern]
-        stab = stabilizer(group, pattern)
-        if len(stab) > 1:
-            bases = sorted({add(group, s, t) for s in shifts for t in stab})
-        else:
-            bases = sorted(shifts)
-        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(bases)))
+    for key in sorted(shifts):
+        digits = _unpack(key, radix, h - 1)
+        pattern = (zero(group),) + tuple(elem_from_key(group, d) for d in digits)
+        bases = shifts[key]
+        if periodic:
+            stab = stabilizer(group, pattern)
+            bases = {add(group, s, t) for s in bases for t in stab}
+        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(sorted(bases))))
     return out
-
-
-def subset_count(host_size: int, h: int) -> int:
-    return math.comb(host_size, h)

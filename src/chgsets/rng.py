@@ -30,17 +30,3 @@ class SplitMix64:
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
-
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
-        limit = (_MASK + 1) - (_MASK + 1) % n
-        while True:
-            u = self.next_uint64()
-            if u < limit:
-                return u % n
-
-    def child(self) -> "SplitMix64":
-        """Derive an independent stream seeded from the next parent output."""
-        return SplitMix64(self.next_uint64())

@@ -97,7 +97,7 @@ def greedy_chg(n: int, h: int, g: int) -> GSet:
         if counter.try_add(chosen, a) is not None:
             chosen.append(a)
     result = gset(Interval(n), chosen)
-    if not verify_chg(Interval(n), result, h, g).holds:
+    if not verify_chg(result, h, g).holds:
         raise RuntimeError("greedy produced an invalid set (broken counter)")
     return result
 
@@ -157,7 +157,7 @@ def max_chg_exact(
     except _NodeCapHit:
         optimal = False
     result_set = gset(Interval(n), best_elems)
-    verdict = verify_chg(Interval(n), result_set, h, g)
+    verdict = verify_chg(result_set, h, g)
     if not verdict.holds:
         raise RuntimeError("search returned an invalid set (broken counter)")
     return SearchResult(n, h, g, best_size, result_set, nodes, optimal)

@@ -10,8 +10,6 @@ shifted back to the internal 0-based form on read.
 
 from __future__ import annotations
 
-import json
-
 from .errors import ParameterError
 from .groups import Cyclic, GSet, Interval, Product, gset
 
@@ -99,8 +97,12 @@ def write_set(path, gs: GSet) -> None:
 
 
 def read_set(path) -> GSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return set_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"set file {path} is not UTF-8 text: {exc}") from None
+    return set_from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,3 @@ def zmatrix_summary(zm, g: int, h: int, kgh_free: bool) -> dict:
         "h": h,
         "kgh_free": kgh_free,
     }
-
-
-def zmatrix_summary_text(zm, g: int, h: int, kgh_free: bool) -> str:
-    return json.dumps(zmatrix_summary(zm, g, h, kgh_free), sort_keys=True)

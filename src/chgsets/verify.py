@@ -3,13 +3,10 @@
 A set A is C_h[g] exactly when no translation class of h-subsets of A
 admits g distinct offsets (pattern + k inside A for g different k); the
 weak variant additionally requires the g translates to be pairwise
-disjoint.  Both verdicts come from exhaustive class enumeration: caps are
-counted in enumerated subsets, so a verdict is either exact or a
-``ResourceCapError``, never approximate.
-
-The common small cases (h = 2, 3, no periodic patterns possible) run
-through packed-integer counting loops; everything else falls back to the
-generic class enumeration in ``groups``.
+disjoint.  Both verdicts read the classes from the one class kernel,
+``groups.enumerate_pattern_classes``, asking only for classes with enough
+member subsets to matter.  Caps are counted in enumerated subsets, so a
+verdict is either exact or a ``ResourceCapError``, never approximate.
 """
 
 from __future__ import annotations
@@ -23,17 +20,13 @@ from .groups import (
     Cyclic,
     GSet,
     Interval,
-    Product,
     _gset_unchecked,
     add,
-    elem_from_key,
-    elem_key,
     enumerate_pattern_classes,
-    canonical_shift_tuple,
     gset,
     iter_elements,
     order,
-    stabilizer,
+    stabilizer_bound,
     sub,
 )
 
@@ -61,119 +54,6 @@ class Verdict:
     witness: Witness | None = None
 
 
-def _stab_possible(group, h: int) -> bool:
-    # A pattern of size h can only be translation-periodic if the ambient
-    # has a subgroup of order s with s > 1 and s | h.
-    if isinstance(group, Interval):
-        return False
-    if isinstance(group, Cyclic):
-        return math.gcd(group.n, h) > 1
-    return h % group.q == 0
-
-
-def _interval_class_counts(elems, h: int):
-    """Packed-key subset counts per translation class, interval kind.
-
-    Keys pack the nonzero pattern offsets; in Z offsets and member subsets
-    coincide (no finite set is translation-periodic).
-    """
-    counts: dict = {}
-    get = counts.get
-    if h == 2:
-        for i, a in enumerate(elems):
-            for b in elems[i + 1 :]:
-                k = b - a
-                counts[k] = get(k, 0) + 1
-        return counts
-    if h == 3:
-        width = elems[-1] - elems[0] + 1
-        m = len(elems)
-        for i in range(m - 2):
-            ei = elems[i]
-            for j in range(i + 1, m - 1):
-                base = (elems[j] - ei) * width
-                for k in range(j + 1, m):
-                    key = base + elems[k] - ei
-                    counts[key] = get(key, 0) + 1
-        return counts
-    raise AssertionError("fast interval path only handles h in {2, 3}")
-
-
-def _interval_key_pattern(elems, h, key):
-    if h == 2:
-        return (0, key)
-    width = elems[-1] - elems[0] + 1
-    d1, d2 = divmod(key, width)
-    return (0, d1, d2)
-
-
-def _group_class_counts(group, elems, h: int):
-    """Packed-key subset counts per class for group kinds without periodic
-    patterns (offset counts coincide with member counts there)."""
-    m = len(elems)
-    n = order(group)
-    sub_to = [[elem_key(group, sub(group, b, a)) for b in elems] for a in elems]
-    counts: dict = {}
-    get = counts.get
-    if h == 2:
-        for i in range(m - 1):
-            row_i = sub_to[i]
-            for j in range(i + 1, m):
-                u = row_i[j]
-                v = sub_to[j][i]
-                key = u if u < v else v
-                counts[key] = get(key, 0) + 1
-        return counts
-    if h == 3:
-        for i in range(m - 2):
-            row_i = sub_to[i]
-            for j in range(i + 1, m - 1):
-                row_j = sub_to[j]
-                dij = row_i[j]
-                dji = row_j[i]
-                for k in range(j + 1, m):
-                    row_k = sub_to[k]
-                    u1, v1 = dij, row_i[k]
-                    if u1 > v1:
-                        u1, v1 = v1, u1
-                    u2, v2 = dji, row_j[k]
-                    if u2 > v2:
-                        u2, v2 = v2, u2
-                    if u2 < u1 or (u2 == u1 and v2 < v1):
-                        u1, v1 = u2, v2
-                    u3, v3 = row_k[i], row_k[j]
-                    if u3 > v3:
-                        u3, v3 = v3, u3
-                    if u3 < u1 or (u3 == u1 and v3 < v1):
-                        u1, v1 = u3, v3
-                    key = u1 * n + v1
-                    counts[key] = get(key, 0) + 1
-        return counts
-    raise AssertionError("fast group path only handles h in {2, 3}")
-
-
-def _group_key_pattern(group, h, key):
-    z = 0 if not isinstance(group, Product) else (0,) * group.d
-    if h == 2:
-        return (z, elem_from_key(group, key))
-    n = order(group)
-    u, v = divmod(key, n)
-    return (z, elem_from_key(group, u), elem_from_key(group, v))
-
-
-def _collect_offsets(group, elems, h, target_pattern):
-    """Second pass: all offsets k with target_pattern + k inside the set."""
-    shifts = []
-    for subset in combinations(elems, h):
-        pattern, shift = canonical_shift_tuple(group, subset)
-        if pattern == target_pattern:
-            shifts.append(shift)
-    stab = stabilizer(group, target_pattern)
-    if len(stab) > 1:
-        return sorted({add(group, s, t) for s in shifts for t in stab})
-    return sorted(shifts)
-
-
 def _cap_check(size: int, h: int, subset_cap: int) -> None:
     if math.comb(size, h) > subset_cap:
         raise ResourceCapError(
@@ -181,48 +61,24 @@ def _cap_check(size: int, h: int, subset_cap: int) -> None:
         )
 
 
-def verify_chg(group, target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
+def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
     """Exact C_h[g] verdict for ``target`` in its ambient space.
 
     Interval sets are verified in Z (all integer translates considered).
     On failure the witness is the violating class with the smallest
-    canonical pattern, its offsets truncated to g.
+    canonical pattern, its offsets truncated to g.  A member subset gives
+    at most ``stabilizer_bound`` offsets, so classes with fewer than
+    ceil(g / bound) members are never collected.
     """
     _check_hg(h, g)
-    elems = target.elems
-    if len(elems) < h:
+    if len(target) < h:
         return Verdict(True)
-    _cap_check(len(elems), h, subset_cap)
-
-    if h > 3 or _stab_possible(group, h):
-        for pc in enumerate_pattern_classes(group, target, h):
-            if len(pc.bases) >= g:
-                return Verdict(False, Witness(pc.pattern, pc.bases[:g]))
-        return Verdict(True)
-
-    if isinstance(group, Interval):
-        counts = _interval_class_counts(elems, h)
-        offenders = [k for k, c in counts.items() if c >= g]
-        if not offenders:
-            return Verdict(True)
-        pattern = _interval_key_pattern(elems, h, min(offenders))
-    else:
-        counts = _group_class_counts(group, elems, h)
-        offenders = [k for k, c in counts.items() if c >= g]
-        if not offenders:
-            return Verdict(True)
-        pattern = _group_key_pattern(group, h, min(offenders))
-    bases = _collect_offsets(group, elems, h, pattern)
-    return Verdict(False, Witness(_gset_unchecked(group, pattern), tuple(bases[:g])))
-
-
-def _classes_with_shifts(group, elems, h: int):
-    """pattern tuple -> sorted member shifts (one per member subset)."""
-    classes: dict = {}
-    for subset in combinations(elems, h):
-        pattern, shift = canonical_shift_tuple(group, subset)
-        classes.setdefault(pattern, []).append(shift)
-    return classes
+    _cap_check(len(target), h, subset_cap)
+    min_members = -(-g // stabilizer_bound(target.group, h))
+    for pc in enumerate_pattern_classes(target, h, min_members):
+        if len(pc.bases) >= g:
+            return Verdict(False, Witness(pc.pattern, pc.bases[:g]))
+    return Verdict(True)
 
 
 def find_disjoint_translates(group, pattern, shifts, g: int):
@@ -249,23 +105,19 @@ def find_disjoint_translates(group, pattern, shifts, g: int):
     return tuple(chosen) if rec(0) else None
 
 
-def verify_weak_chg(group, target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
+def verify_weak_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
     """Exact weak-C_h[g] verdict: no class may contain g pairwise-disjoint
     translates.  Implied by the plain C_h[g] property."""
     _check_hg(h, g)
-    elems = target.elems
-    if len(elems) < h * g:
+    if len(target) < h * g:
         # g disjoint translates of an h-set need hg distinct elements
         return Verdict(True)
-    _cap_check(len(elems), h, subset_cap)
-    classes = _classes_with_shifts(group, elems, h)
-    for pattern in sorted(classes):
-        shifts = classes[pattern]
-        if len(shifts) < g:
-            continue
-        picked = find_disjoint_translates(group, pattern, shifts, g)
+    _cap_check(len(target), h, subset_cap)
+    # disjoint translates are distinct member subsets, so a class needs g
+    for pc in enumerate_pattern_classes(target, h, g):
+        picked = find_disjoint_translates(target.group, pc.pattern.elems, pc.bases, g)
         if picked is not None:
-            return Verdict(False, Witness(_gset_unchecked(group, pattern), picked))
+            return Verdict(False, Witness(pc.pattern, picked))
     return Verdict(True)
 
 
@@ -281,14 +133,18 @@ class ZMatrix:
     n: int
     rows: tuple
     elements: tuple
-    group: object
     source: GSet
 
 
-def build_zmatrix(group, target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
-    """Sum matrix of (group, A); every row holds exactly |A| ones."""
+def _require_group(group) -> None:
     if isinstance(group, Interval):
         raise ParameterError("interval windows are not groups; no sum matrix")
+
+
+def build_zmatrix(target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
+    """Sum matrix of A in its group; every row holds exactly |A| ones."""
+    group = target.group
+    _require_group(group)
     n = order(group)
     if n > order_cap:
         raise ResourceCapError(f"group order {n} exceeds cap {order_cap}")
@@ -303,7 +159,17 @@ def build_zmatrix(group, target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZM
         if mask.bit_count() != len(members):
             raise RuntimeError("row sum differs from |A| (broken group arithmetic)")
         rows.append(mask)
-    return ZMatrix(n, tuple(rows), elements, group, target)
+    return ZMatrix(n, tuple(rows), elements, target)
+
+
+def check_kgh_params(group, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
+    """Reject a K_{g,h} check on the sum matrix of ``group`` before the
+    matrix is built: parameter errors first, then the column cap."""
+    _check_hg(h, g)
+    _require_group(group)
+    n = order(group)
+    if math.comb(n, h) * n > subset_cap:
+        raise ResourceCapError(f"column enumeration exceeds cap {subset_cap}")
 
 
 def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
@@ -313,10 +179,8 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
     counts all-ones rows by bitset intersection.  A witness is reported as
     the column elements (pattern) and the first g row elements (bases).
     """
-    _check_hg(h, g)
+    check_kgh_params(zm.source.group, g, h, subset_cap)
     n = zm.n
-    if math.comb(n, h) * n > subset_cap:
-        raise ResourceCapError(f"column enumeration exceeds cap {subset_cap}")
     cols = []
     for j in range(n):
         mask = 0
@@ -332,7 +196,7 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
                 break
         if inter.bit_count() >= g:
             rows = [i for i in range(n) if inter >> i & 1][:g]
-            pattern = _gset_unchecked(zm.group, tuple(zm.elements[j] for j in combo))
+            pattern = _gset_unchecked(zm.source.group, tuple(zm.elements[j] for j in combo))
             bases = tuple(zm.elements[i] for i in rows)
             return Verdict(False, Witness(pattern, bases))
     return Verdict(True)

@@ -41,7 +41,7 @@ def test_criterion_01_sphere_construction():
     for p in (3, 5, 7, 11, 13):
         s = sphere_set(p)
         assert len(s) >= p * p - p
-        assert verify_chg(s.group, s, 3, 3).holds
+        assert verify_chg(s, 3, 3).holds
     assert len(sphere_set(3)) == 6  # exact count over the 27 triples
     _announce(1, "sphere construction", started)
 
@@ -51,7 +51,7 @@ def test_criterion_02_embedded_pipeline():
     a = embedded_c33(500)
     assert a.group == Interval(500)
     assert len(a) >= 20
-    assert verify_chg(a.group, a, 3, 3).holds
+    assert verify_chg(a, 3, 3).holds
     ratio = len(a) / (500 / 4) ** (2 / 3)
     assert ratio >= 0.8 - 1e-9  # exact count 20 over exactly 25
     _announce(2, "embedded pipeline", started)
@@ -63,7 +63,7 @@ def test_criterion_03_norm_construction():
         a, guarantee = norm_set(q, h)
         assert guarantee == math.factorial(h) + 1
         assert len(a) == (q**h - 1) // (q - 1)
-        assert verify_chg(a.group, a, h, guarantee).holds
+        assert verify_chg(a, h, guarantee).holds
     _announce(3, "norm construction", started)
 
 
@@ -88,11 +88,11 @@ def test_criterion_04_digit_map_transfer():
     # embedded sets re-pass full verification in Z
     for p in (3, 5, 7, 11, 13):
         image = freiman_embed(2 * p, sphere_set(p))
-        assert verify_chg(image.group, image, 3, 3).holds
+        assert verify_chg(image, 3, 3).holds
     for q, h in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3)):
         a, guarantee = norm_set(q, h)
         image = freiman_embed(2 * q, a)
-        assert verify_chg(image.group, image, h, guarantee).holds
+        assert verify_chg(image, h, guarantee).holds
     _announce(4, "digit map transfer", started)
 
 
@@ -103,7 +103,7 @@ def test_criterion_05_verifier_oracle_equivalence():
         elems = [i for i in range(12) if mask >> i & 1]
         a = gset(Interval(12), elems)
         for h, g in ((2, 2), (2, 3), (3, 3)):
-            if verify_chg(a.group, a, h, g).holds != naive_is_chg_interval(elems, h, g):
+            if verify_chg(a, h, g).holds != naive_is_chg_interval(elems, h, g):
                 disagreements += 1
     rng = SplitMix64(5)
     for _ in range(1000):
@@ -115,7 +115,7 @@ def test_criterion_05_verifier_oracle_equivalence():
         elems.sort()
         a = gset(Interval(25), elems)
         for h, g in ((2, 2), (2, 3), (3, 3)):
-            if verify_chg(a.group, a, h, g).holds != naive_is_chg_interval(elems, h, g):
+            if verify_chg(a, h, g).holds != naive_is_chg_interval(elems, h, g):
                 disagreements += 1
     assert disagreements == 0
     _announce(5, "verifier oracle equivalence", started)
@@ -154,7 +154,7 @@ def test_criterion_07_probabilistic_construction():
             continue
         assert attempts <= 64
         assert out_size > np_val / 4  # about 5.8 here
-        assert verify_weak_chg(result.group, result, 2, 2).holds
+        assert verify_weak_chg(result, 2, 2).holds
         successes += 1
     assert successes >= 18
 
@@ -171,7 +171,7 @@ def test_criterion_07_probabilistic_construction():
 def test_criterion_08_zarankiewicz_correspondence():
     started = time.time()
     a, _ = norm_set(3, 2)
-    zm = build_zmatrix(a.group, a)
+    zm = build_zmatrix(a)
     row_sums = {row.bit_count() for row in zm.rows}
     assert row_sums == {4}
     ones = sum(row.bit_count() for row in zm.rows)

@@ -149,6 +149,14 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--set", "no-such.txt", "--h", "2", "--g", "2")
         assert code == 4
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# group=interval:12\n# caf\xe9\n1\n2\n")
+        code, report, err = run_cli(capsys, "verify", "--set", str(path), "--h", "2", "--g", "2")
+        assert code == 4
+        assert report is None
+        assert "parameter error" in err and "Traceback" not in err
+
 
 class TestSearchCommand:
     def test_table_and_csv(self, capsys, tmp_path):
@@ -182,6 +190,22 @@ class TestZMatrixCommand:
             "g": 3, "h": 2, "kgh_free": True,
         }
         assert pbm_path.read_text().startswith("P1\n9 9\n")
+
+    def test_column_cap_checked_before_build(self, capsys, monkeypatch, tmp_path):
+        import chgsets.cli
+
+        def build_zmatrix(*args, **kwargs):
+            raise AssertionError("matrix built before the column cap was checked")
+
+        monkeypatch.setattr(chgsets.cli, "build_zmatrix", build_zmatrix)
+        path = tmp_path / "c343.txt"
+        path.write_text("# group=cyclic:343\n0\n1\n3\n")
+        code, report, err = run_cli(
+            capsys, "zmatrix", "--set", str(path), "--g", "3", "--h", "3"
+        )
+        assert code == 3
+        assert report is None
+        assert "resource cap exceeded" in err
 
     def test_interval_set_rejected(self, capsys):
         code, _, err = run_cli(

@@ -69,7 +69,7 @@ class TestSphereSet:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_is_c33(self, p):
         s = sphere_set(p)
-        assert verify_chg(s.group, s, 3, 3).holds
+        assert verify_chg(s, 3, 3).holds
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
@@ -88,7 +88,7 @@ class TestNormSet:
     def test_verifies_with_guarantee(self):
         a, guarantee = norm_set(3, 2)
         assert guarantee == 3
-        assert verify_chg(a.group, a, 2, guarantee).holds
+        assert verify_chg(a, 2, guarantee).holds
 
     def test_full_multiplicative_group_when_exponent_is_order(self):
         a, _ = norm_set(2, 3)
@@ -142,12 +142,12 @@ class TestFreimanEmbed:
         a, guarantee = norm_set(q, h)
         image = freiman_embed(2 * q, a)
         assert len(image) == len(a)
-        assert verify_chg(image.group, image, h, guarantee).holds
+        assert verify_chg(image, h, guarantee).holds
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_embedded_sphere_reverifies(self, p):
         image = freiman_embed(2 * p, sphere_set(p))
-        assert verify_chg(image.group, image, 3, 3).holds
+        assert verify_chg(image, 3, 3).holds
 
 
 class TestEmbeddedC33:
@@ -173,7 +173,7 @@ class TestEmbeddedC33:
 
     def test_result_verifies(self):
         a = embedded_c33(500)
-        assert verify_chg(a.group, a, 3, 3).holds
+        assert verify_chg(a, 3, 3).holds
 
 
 class TestSidonBaseline:
@@ -186,7 +186,7 @@ class TestSidonBaseline:
         a = sidon_baseline(p)
         assert len(a) == p
         assert a.group == Interval(2 * p * p)
-        assert verify_chg(a.group, a, 2, 2).holds
+        assert verify_chg(a, 2, 2).holds
 
 
 class TestRewindow:
@@ -229,7 +229,7 @@ class TestDetectBad:
         s = gset(Interval(60), elems)
         bad = set(detect_bad(s, h, g).elems)
         survivors = gset(Interval(60), sorted(set(elems) - bad))
-        assert verify_weak_chg(survivors.group, survivors, h, g).holds
+        assert verify_weak_chg(survivors, h, g).holds
 
 
 class TestWeakRandomSet:
@@ -250,7 +250,7 @@ class TestWeakRandomSet:
         assert s_size >= np_val / 2
         assert bad_size <= np_val / 4
         assert out_size > np_val / 4
-        assert verify_weak_chg(result.group, result, 2, 2).holds
+        assert verify_weak_chg(result, 2, 2).holds
 
     def test_different_seeds_differ(self):
         a1 = weak_random_set(20000, 2, 2, seed=1)[0]

@@ -16,7 +16,7 @@ class TestMaxExact:
         res = max_chg_exact(7, 2, 2)
         assert res.best_size == 4
         assert res.optimal
-        assert verify_chg(res.best_set.group, res.best_set, 2, 2).holds
+        assert verify_chg(res.best_set, 2, 2).holds
 
     def test_singleton_window(self):
         res = max_chg_exact(1, 2, 2)
@@ -38,7 +38,7 @@ class TestMaxExact:
         res = max_chg_exact(20, 2, 2, node_cap=5)
         assert not res.optimal
         assert res.best_size >= 1
-        assert verify_chg(res.best_set.group, res.best_set, 2, 2).holds
+        assert verify_chg(res.best_set, 2, 2).holds
 
     def test_range_limit(self):
         with pytest.raises(ParameterError):
@@ -72,7 +72,7 @@ class TestGreedy:
     def test_output_verifies(self):
         for n, h, g in [(30, 2, 2), (24, 3, 3), (30, 2, 4)]:
             a = greedy_chg(n, h, g)
-            assert verify_chg(a.group, a, h, g).holds
+            assert verify_chg(a, h, g).holds
 
 
 class TestMaxTable:
@@ -91,4 +91,4 @@ class TestMaxTable:
         for r in table:
             assert r.optimal
             assert r.best_size <= group_bound(2 * r.n, 3, 3)
-            assert verify_chg(r.best_set.group, r.best_set, 3, 3).holds
+            assert verify_chg(r.best_set, 3, 3).holds

@@ -80,7 +80,7 @@ class TestSetFiles:
 class TestMatrixExports:
     def test_pbm_shape(self):
         g = Cyclic(3)
-        zm = build_zmatrix(g, gset(g, [0]))
+        zm = build_zmatrix(gset(g, [0]))
         text = pbm_text(zm)
         lines = text.splitlines()
         assert lines[0] == "P1"
@@ -90,7 +90,7 @@ class TestMatrixExports:
 
     def test_summary_fields(self):
         a, _ = norm_set(3, 2)
-        zm = build_zmatrix(a.group, a)
+        zm = build_zmatrix(a)
         summary = zmatrix_summary(zm, 3, 2, True)
         assert summary == {
             "n": 9,

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chgsets import (
     Cyclic,
@@ -34,7 +34,8 @@ def interval_set(elems, n=None):
     return gset(Interval(n), elems)
 
 
-def assert_valid_witness(group, target, verdict, h, g, weak=False):
+def assert_valid_witness(target, verdict, h, g, weak=False):
+    group = target.group
     assert not verdict.holds
     w = verdict.witness
     assert w is not None
@@ -56,43 +57,43 @@ def assert_valid_witness(group, target, verdict, h, g, weak=False):
 class TestVerifyChg:
     def test_progression_fails_with_witness(self):
         a = interval_set([1, 2, 3, 4, 5], 10)
-        verdict = verify_chg(a.group, a, 2, 2)
+        verdict = verify_chg(a, 2, 2)
         assert not verdict.holds
         assert verdict.witness.pattern.elems == (0, 1)
         assert verdict.witness.bases == (1, 2)
-        assert_valid_witness(a.group, a, verdict, 2, 2)
+        assert_valid_witness(a, verdict, 2, 2)
 
     def test_sidon_example_holds(self):
         a = interval_set([1, 2, 5, 11], 12)
-        assert verify_chg(a.group, a, 2, 2).holds
+        assert verify_chg(a, 2, 2).holds
 
     def test_sphere_three_is_c33(self):
         s = sphere_set(3)
-        assert verify_chg(s.group, s, 3, 3).holds
+        assert verify_chg(s, 3, 3).holds
 
     def test_small_sets_vacuous(self):
         a = interval_set([4], 10)
-        assert verify_chg(a.group, a, 2, 2).holds
-        assert verify_chg(a.group, a, 3, 3).holds
+        assert verify_chg(a, 2, 2).holds
+        assert verify_chg(a, 3, 3).holds
 
     def test_bad_params(self):
         a = interval_set([1, 2], 5)
         with pytest.raises(ParameterError):
-            verify_chg(a.group, a, 2, 1)
+            verify_chg(a, 2, 1)
         with pytest.raises(ParameterError):
-            verify_chg(a.group, a, 1, 2)
+            verify_chg(a, 1, 2)
 
     def test_cap_respected(self):
         a = interval_set(list(range(30)), 30)
         with pytest.raises(ResourceCapError):
-            verify_chg(a.group, a, 3, 3, subset_cap=10)
+            verify_chg(a, 3, 3, subset_cap=10)
 
     def test_periodic_pattern_counts_offsets(self):
         # {0,3} in Z_6 is fixed by adding 3: two distinct offsets reuse one
         # translate, which already violates C_2[2]
         g = Cyclic(6)
         a = gset(g, [0, 3])
-        verdict = verify_chg(g, a, 2, 2)
+        verdict = verify_chg(a, 2, 2)
         assert not verdict.holds
         assert not naive_is_chg_group(g, a.elems, 2, 2)
 
@@ -101,20 +102,21 @@ class TestVerifyChg:
     def test_matches_naive_on_intervals(self, elems, hg):
         h, g = hg
         a = interval_set(elems, 21)
-        assert verify_chg(a.group, a, h, g).holds == naive_is_chg_interval(elems, h, g)
+        assert verify_chg(a, h, g).holds == naive_is_chg_interval(elems, h, g)
 
     @given(st.data())
     def test_matches_naive_on_groups(self, data):
         group = data.draw(st.one_of(
             st.integers(2, 9).map(Cyclic),
-            st.sampled_from([Product(2, 2), Product(3, 2), Product(2, 3)]),
+            st.sampled_from([Product(2, 2), Product(3, 2), Product(2, 3),
+                             Product(4, 1), Product(4, 2), Product(6, 1)]),
         ))
         ambient = list(iter_elements(group))
         elems = data.draw(st.lists(st.sampled_from(ambient), min_size=1,
                                    max_size=min(8, len(ambient)), unique=True))
         h, g = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
         a = gset(group, elems)
-        assert verify_chg(group, a, h, g).holds == naive_is_chg_group(group, elems, h, g)
+        assert verify_chg(a, h, g).holds == naive_is_chg_group(group, elems, h, g)
 
     @given(st.lists(st.integers(0, 25), min_size=2, max_size=9, unique=True))
     def test_monotone_in_g(self, elems):
@@ -122,7 +124,7 @@ class TestVerifyChg:
         for h in (2, 3):
             held = False
             for g in range(h, h + 4):
-                now = verify_chg(a.group, a, h, g).holds
+                now = verify_chg(a, h, g).holds
                 if held:
                     assert now
                 held = now
@@ -132,8 +134,8 @@ class TestVerifyChg:
     def test_plain_implies_weak(self, elems, hg):
         h, g = hg
         a = interval_set(elems, 26)
-        if verify_chg(a.group, a, h, g).holds:
-            assert verify_weak_chg(a.group, a, h, g).holds
+        if verify_chg(a, h, g).holds:
+            assert verify_weak_chg(a, h, g).holds
 
     def test_fast_and_generic_paths_agree(self):
         # the generic path runs whenever periodic patterns are possible;
@@ -144,25 +146,56 @@ class TestVerifyChg:
             (Product(3, 2), [(0, 0), (1, 0), (2, 0), (0, 1)]),
             (Product(5, 2), [(0, 0), (1, 2), (2, 4), (3, 1)]),
             (Cyclic(7), [0, 1, 3, 5]),
+            # composite moduli: periodic patterns although q does not divide h
+            (Product(4, 1), [(0,), (2,)]),
+            (Product(4, 2), [(0, 0), (2, 2), (1, 3)]),
+            (Product(6, 1), [(1,), (3,), (5,)]),
         ]:
             a = gset(group, elems)
             for h, g in [(2, 2), (2, 3), (3, 3)]:
                 expected = naive_is_chg_group(group, elems, h, g)
-                assert verify_chg(group, a, h, g).holds == expected
+                assert verify_chg(a, h, g).holds == expected
+
+
+    # 1, 5, 7 and 11 are units modulo every n whose prime factors are 2 and 3
+    @given(st.sampled_from([4, 6, 8, 9, 12]),
+           st.lists(st.integers(0, 11), min_size=1, max_size=8),
+           st.integers(0, 11),
+           st.sampled_from([1, 5, 7, 11]),
+           st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    @example(4, [0, 2], 1, 1, (2, 2))
+    @example(6, [1, 3, 5], 2, 5, (3, 3))
+    def test_verdict_invariant_under_relabelling(self, n, elems, k, u, hg):
+        # Z_n written as Cyclic(n) or Product(n, 1), translated, or scaled by
+        # a unit is the same set up to a group automorphism
+        h, g = hg
+        elems = sorted({x % n for x in elems})
+        variants = [
+            gset(Cyclic(n), elems),
+            gset(Product(n, 1), [(x,) for x in elems]),
+            gset(Cyclic(n), [(x + k) % n for x in elems]),
+            gset(Cyclic(n), [u * x % n for x in elems]),
+        ]
+        for check, weak in ((verify_chg, False), (verify_weak_chg, True)):
+            verdicts = [check(a, h, g) for a in variants]
+            assert len({v.holds for v in verdicts}) == 1
+            for a, verdict in zip(variants, verdicts):
+                if not verdict.holds:
+                    assert_valid_witness(a, verdict, h, g, weak=weak)
 
 
 class TestVerifyWeak:
     def test_disjoint_pair_found(self):
         a = interval_set([1, 2, 3, 4], 5)
-        verdict = verify_weak_chg(a.group, a, 2, 2)
+        verdict = verify_weak_chg(a, 2, 2)
         assert not verdict.holds
         assert verdict.witness.pattern.elems == (0, 1)
         assert set(verdict.witness.bases) == {1, 3}
-        assert_valid_witness(a.group, a, verdict, 2, 2, weak=True)
+        assert_valid_witness(a, verdict, 2, 2, weak=True)
 
     def test_overlapping_translates_ok(self):
         a = interval_set([1, 2, 3], 4)
-        assert verify_weak_chg(a.group, a, 2, 2).holds
+        assert verify_weak_chg(a, 2, 2).holds
 
     @given(st.lists(st.integers(0, 18), min_size=1, max_size=9, unique=True),
            st.sampled_from([(2, 2), (2, 3), (3, 3)]))
@@ -170,52 +203,53 @@ class TestVerifyWeak:
         h, g = hg
         a = interval_set(elems, 19)
         expected = naive_is_weak_chg_interval(elems, h, g)
-        assert verify_weak_chg(a.group, a, h, g).holds == expected
+        assert verify_weak_chg(a, h, g).holds == expected
 
     @given(st.data())
     def test_matches_naive_on_groups(self, data):
-        group = data.draw(st.sampled_from([Cyclic(6), Cyclic(8), Product(2, 2), Product(3, 2)]))
+        group = data.draw(st.sampled_from([Cyclic(6), Cyclic(8), Product(2, 2), Product(3, 2),
+                                           Product(4, 1), Product(4, 2), Product(6, 1)]))
         ambient = list(iter_elements(group))
         elems = data.draw(st.lists(st.sampled_from(ambient), min_size=1,
                                    max_size=len(ambient), unique=True))
         a = gset(group, elems)
         expected = naive_is_weak_chg_group(group, elems, 2, 2)
-        assert verify_weak_chg(group, a, 2, 2).holds == expected
+        assert verify_weak_chg(a, 2, 2).holds == expected
 
 
 class TestZMatrix:
     def test_singleton_gives_permutation(self):
         g = Cyclic(3)
-        zm = build_zmatrix(g, gset(g, [0]))
+        zm = build_zmatrix(gset(g, [0]))
         assert all(row.bit_count() == 1 for row in zm.rows)
         cols = [sum(row >> j & 1 for row in zm.rows) for j in range(3)]
         assert cols == [1, 1, 1]
 
     def test_full_set_all_ones(self):
         g = Cyclic(2)
-        zm = build_zmatrix(g, gset(g, [0, 1]))
+        zm = build_zmatrix(gset(g, [0, 1]))
         assert zm.rows == (0b11, 0b11)
 
     def test_norm_set_row_sums(self):
         a, _ = norm_set(3, 2)
-        zm = build_zmatrix(a.group, a)
+        zm = build_zmatrix(a)
         assert zm.n == 9
         assert all(row.bit_count() == 4 for row in zm.rows)
 
     def test_interval_rejected(self):
         a = interval_set([1, 2], 5)
         with pytest.raises(ParameterError):
-            build_zmatrix(a.group, a)
+            build_zmatrix(a)
 
     def test_order_cap(self):
         g = Cyclic(100)
         with pytest.raises(ResourceCapError):
-            build_zmatrix(g, gset(g, [0]), order_cap=50)
+            build_zmatrix(gset(g, [0]), order_cap=50)
 
     def test_entry_definition(self):
         g = Product(2, 2)
         a = gset(g, [(0, 1), (1, 0)])
-        zm = build_zmatrix(g, a)
+        zm = build_zmatrix(a)
         for i, b in enumerate(zm.elements):
             for j, c in enumerate(zm.elements):
                 assert (zm.rows[i] >> j & 1) == (add(g, b, c) in a.elems)
@@ -224,18 +258,18 @@ class TestZMatrix:
 class TestKghFree:
     def test_all_ones_two_by_two(self):
         g = Cyclic(2)
-        zm = build_zmatrix(g, gset(g, [0, 1]))
+        zm = build_zmatrix(gset(g, [0, 1]))
         verdict = check_kgh_free(zm, 2, 2)
         assert not verdict.holds
 
     def test_zero_matrix(self):
         g = Cyclic(3)
-        zm = build_zmatrix(g, gset(g, []))
+        zm = build_zmatrix(gset(g, []))
         assert check_kgh_free(zm, 2, 2).holds
 
     def test_norm_matrix_k32_free(self):
         a, _ = norm_set(3, 2)
-        zm = build_zmatrix(a.group, a)
+        zm = build_zmatrix(a)
         assert check_kgh_free(zm, 3, 2).holds
         # independent exhaustive column-pair check
         cols = []
@@ -246,7 +280,7 @@ class TestKghFree:
 
     def test_witness_is_all_ones_block(self):
         g = Cyclic(4)
-        zm = build_zmatrix(g, gset(g, [0, 1, 2, 3]))
+        zm = build_zmatrix(gset(g, [0, 1, 2, 3]))
         verdict = check_kgh_free(zm, 2, 2)
         assert not verdict.holds
         w = verdict.witness
@@ -271,9 +305,9 @@ class TestIntervalToCyclic:
     def test_property_transfers_empirically(self, elems, hg):
         h, g = hg
         a = interval_set(elems, 12)
-        if verify_chg(a.group, a, h, g).holds:
+        if verify_chg(a, h, g).holds:
             img = interval_to_cyclic(a)
-            assert verify_chg(img.group, img, h, g).holds
+            assert verify_chg(img, h, g).holds
 
 
 class TestClassConsistency:
@@ -282,21 +316,21 @@ class TestClassConsistency:
     def test_verdict_matches_class_enumeration(self, elems, hg):
         h, g = hg
         a = interval_set(elems, 21)
-        classes = enumerate_pattern_classes(a.group, a, h)
+        classes = enumerate_pattern_classes(a, h)
         max_count = max((len(pc.bases) for pc in classes), default=0)
-        assert verify_chg(a.group, a, h, g).holds == (max_count <= g - 1)
+        assert verify_chg(a, h, g).holds == (max_count <= g - 1)
 
     @given(st.lists(st.integers(0, 20), min_size=2, max_size=9, unique=True),
            st.sampled_from([(2, 2), (2, 3), (3, 3)]))
     def test_failed_verdicts_carry_valid_witnesses(self, elems, hg):
         h, g = hg
         a = interval_set(elems, 21)
-        verdict = verify_chg(a.group, a, h, g)
+        verdict = verify_chg(a, h, g)
         if not verdict.holds:
-            assert_valid_witness(a.group, a, verdict, h, g)
-        weak = verify_weak_chg(a.group, a, h, g)
+            assert_valid_witness(a, verdict, h, g)
+        weak = verify_weak_chg(a, h, g)
         if not weak.holds:
-            assert_valid_witness(a.group, a, weak, h, g, weak=True)
+            assert_valid_witness(a, weak, h, g, weak=True)
 
 
 class TestMatrixConsistency:
@@ -308,8 +342,8 @@ class TestMatrixConsistency:
             a, guarantee = norm_set(q, h)
             cases.append((a, h, guarantee))
         for a, h, g in cases:
-            assert verify_chg(a.group, a, h, g).holds
-            zm = build_zmatrix(a.group, a)
+            assert verify_chg(a, h, g).holds
+            zm = build_zmatrix(a)
             assert check_kgh_free(zm, g, h).holds
             ones = sum(row.bit_count() for row in zm.rows)
             assert ones == zm.n * len(a)
