@@ -213,13 +213,14 @@ def _cmd_search(args) -> int:
             "n": res.n,
             "best_size": res.best_size,
             "optimal": res.optimal,
+            "nodes": res.nodes_explored,
             "greedy_size": len(greedy_chg(res.n, args.h, args.g)),
             "bound_group": group_bound(2 * res.n, args.h, args.g),
             "bound_main_term": main_term_bound(res.n, args.h, args.g),
         })
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
     _emit(_report(

@@ -168,11 +168,21 @@ class TestSearchCommand:
         assert code == 0
         sizes = [row["best_size"] for row in report["data"]["table"]]
         assert sizes == [1, 2, 2, 3, 3, 3, 4, 4]
+        assert all(row["nodes"] >= 0 for row in report["data"]["table"])
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "best_size", "optimal", "greedy_size",
                            "bound_group", "bound_main_term"]
         assert len(rows) == 9
+
+    @pytest.mark.parametrize("node_cap", ["0", "-5"])
+    def test_node_cap_below_one_exits_four(self, capsys, node_cap):
+        code, report, err = run_cli(
+            capsys, "search", "--n-max", "8", "--h", "2", "--g", "2", "--node-cap", node_cap
+        )
+        assert code == 4
+        assert report is None
+        assert "Traceback" not in err
 
 
 class TestZMatrixCommand:

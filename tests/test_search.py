@@ -1,13 +1,17 @@
 import pytest
 
 from chgsets import (
+    Interval,
     ParameterError,
+    SearchResult,
     greedy_chg,
     group_bound,
     max_chg_exact,
     max_table,
+    gset,
     verify_chg,
 )
+from chgsets import search
 from oracles import brute_force_max
 
 
@@ -27,12 +31,14 @@ class TestMaxExact:
         assert max_chg_exact(3, 2, 2).best_size == 2
 
     def test_matches_oracle_small(self):
-        for n in range(1, 16):
-            assert max_chg_exact(n, 2, 2).best_size == brute_force_max(n, 2, 2)
-        for n in range(1, 13):
-            assert max_chg_exact(n, 3, 3).best_size == brute_force_max(n, 3, 3)
-        for n in range(1, 13):
-            assert max_chg_exact(n, 2, 3).best_size == brute_force_max(n, 2, 3)
+        # max_chg_exact bounds the rest of the window by its size, max_table
+        # by the maxima of the smaller windows: both must match the oracle
+        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 12)):
+            expected = [brute_force_max(n, h, g) for n in range(1, n_max + 1)]
+            assert [max_chg_exact(n, h, g).best_size for n in range(1, n_max + 1)] == expected
+            table = max_table(n_max, h, g)
+            assert [r.best_size for r in table] == expected
+            assert all(r.optimal for r in table)
 
     def test_node_cap_returns_partial(self):
         res = max_chg_exact(20, 2, 2, node_cap=5)
@@ -53,6 +59,13 @@ class TestMaxExact:
             max_chg_exact(5, 2, 1)
         with pytest.raises(ParameterError):
             max_chg_exact(0, 2, 2)
+
+    @pytest.mark.parametrize("node_cap", [0, -5])
+    def test_node_cap_below_one_rejected(self, node_cap):
+        with pytest.raises(ParameterError):
+            max_chg_exact(5, 2, 2, node_cap=node_cap)
+        with pytest.raises(ParameterError):
+            max_table(5, 2, 2, node_cap=node_cap)
 
 
 class TestGreedy:
@@ -92,3 +105,41 @@ class TestMaxTable:
             assert r.optimal
             assert r.best_size <= group_bound(2 * r.n, 3, 3)
             assert verify_chg(r.best_set, 3, 3).holds
+
+    def test_doll_bound_work(self):
+        # the maxima of the smaller windows prune most of the tree: the
+        # window-size bound alone explores 92,741 and 7,788 nodes here
+        assert sum(r.nodes_explored for r in max_table(26, 2, 2)) < 40_000
+        assert sum(r.nodes_explored for r in max_table(16, 3, 3)) < 2_500
+
+    def test_node_capped_rows(self):
+        # rows cut off by the cap keep a valid set, and the rows that finish
+        # are exact whatever the rows before them fed into their bound
+        expected = [brute_force_max(n, 2, 2) for n in range(1, 15)]
+        cut = optimal = 0
+        for node_cap in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
+            for r, best in zip(max_table(14, 2, 2, node_cap=node_cap), expected):
+                assert verify_chg(r.best_set, 2, 2).holds
+                assert len(r.best_set) == r.best_size <= best
+                if r.optimal:
+                    assert r.best_size == best
+                    optimal += 1
+                else:
+                    cut += 1
+        assert cut and optimal
+
+    def test_cut_row_counts_as_its_window(self, monkeypatch):
+        # row 3 cut off holding {0, 1} although M(3) = 3: if that 2 fed the
+        # bound, row 4 would stop at 3 and call it optimal (M(4) = 4)
+        search_window = search._search_window
+
+        def cut_row_three(n, h, g, node_cap, seed, doll):
+            res = search_window(n, h, g, node_cap, seed, doll)
+            if n != 3:
+                return res
+            return SearchResult(n, h, g, 2, gset(Interval(3), [0, 1]), res.nodes_explored, False)
+
+        monkeypatch.setattr(search, "_search_window", cut_row_three)
+        table = max_table(8, 3, 3)
+        assert [r.optimal for r in table[1:4]] == [True, False, True]
+        assert [r.best_size for r in table[3:]] == [brute_force_max(n, 3, 3) for n in range(4, 9)]

@@ -183,6 +183,23 @@ class TestVerifyChg:
                 if not verdict.holds:
                     assert_valid_witness(a, verdict, h, g, weak=weak)
 
+    @given(st.integers(1, 20),
+           st.lists(st.integers(0, 19), min_size=1, max_size=9),
+           st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    @example(6, [0, 1, 2, 4], (2, 2))
+    def test_verdict_invariant_under_reflection(self, n, elems, hg):
+        # x -> n-1-x maps the window onto itself and every translation
+        # class of h-subsets onto a class of the same size
+        h, g = hg
+        elems = sorted({x % n for x in elems})
+        variants = [interval_set(elems, n), interval_set([n - 1 - x for x in elems], n)]
+        for check, weak in ((verify_chg, False), (verify_weak_chg, True)):
+            verdicts = [check(a, h, g) for a in variants]
+            assert len({v.holds for v in verdicts}) == 1
+            for a, verdict in zip(variants, verdicts):
+                if not verdict.holds:
+                    assert_valid_witness(a, verdict, h, g, weak=weak)
+
 
 class TestVerifyWeak:
     def test_disjoint_pair_found(self):
