@@ -11,12 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ParameterError
-
-
-def _check_hg(h: int, g: int) -> None:
-    if h < 2 or g < h:
-        raise ParameterError(f"need g >= h >= 2, got h={h}, g={g}")
+from .errors import ParameterError, check_hg
 
 
 def main_term_bound(n: int, h: int, g: int) -> float:
@@ -51,7 +46,7 @@ def zarankiewicz_bound(m: int, n: int, s: int, t: int) -> float:
 
 def group_bound(n: int, h: int, g: int) -> float:
     """Size bound for a C_h[g]-set in a finite abelian group of order n."""
-    _check_hg(h, g)
+    check_hg(h, g)
     return (g - h + 1) ** (1.0 / h) * n ** (1.0 - 1.0 / h) + h * n ** (1.0 - 2.0 / h) + h
 
 
@@ -67,7 +62,7 @@ def sample_density(n: int, h: int, g: int) -> tuple:
     form is np = n^((h-1)(g-1)/(hg-1)) / 2.  The defining equation is
     re-checked to relative 1e-9 on every call.
     """
-    _check_hg(h, g)
+    check_hg(h, g)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     np_val = 0.5 * n ** _weak_exponent(h, g)
@@ -83,7 +78,7 @@ def sample_density(n: int, h: int, g: int) -> tuple:
 
 def weak_lower_bound(n: int, h: int, g: int) -> float:
     """Guaranteed weak-set size n^((h-1)(g-1)/(hg-1)) / 8; equals np/4."""
-    _check_hg(h, g)
+    check_hg(h, g)
     return 0.125 * n ** _weak_exponent(h, g)
 
 

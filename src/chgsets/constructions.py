@@ -21,7 +21,7 @@ from .errors import ParameterError, ResourceCapError, RetryExhaustedError
 from .fields import DEFAULT_FIELD_CAP, ext_field, is_prime, iter_field, norm, quadratic_character
 from .groups import GSet, Interval, Product, enumerate_pattern_classes, gset
 from .rng import SplitMix64
-from .verify import verify_weak_chg
+from .verify import find_disjoint_translates, verify_weak_chg
 
 DEFAULT_SPHERE_CAP = 2**20  # on p^3
 DEFAULT_MAX_ATTEMPTS = 64
@@ -179,21 +179,9 @@ def detect_bad(sample: GSet, h: int, g: int) -> GSet:
             if m in bad:
                 continue
             cands = [b for b in bases[:idx] if (m - b) not in diffs]
-            if len(cands) >= g - 1 and _has_disjoint_tuple(cands, diffs, g - 1):
+            if find_disjoint_translates(sample.group, pc.pattern.elems, cands, g - 1):
                 bad.add(m)
     return gset(sample.group, sorted(bad))
-
-
-def _has_disjoint_tuple(cands, diffs, need: int) -> bool:
-    if need == 0:
-        return True
-    for i, b in enumerate(cands):
-        if len(cands) - i < need:
-            return False
-        rest = [c for c in cands[i + 1 :] if c - b not in diffs]
-        if _has_disjoint_tuple(rest, diffs, need - 1):
-            return True
-    return False
 
 
 def weak_random_set(

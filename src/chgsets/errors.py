@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the parameter convention shared across the package."""
 
 
 class ParameterError(ValueError):
@@ -24,3 +24,9 @@ class RetryExhaustedError(RuntimeError):
     def __init__(self, message: str, attempts):
         super().__init__(message)
         self.attempts = list(attempts)
+
+
+def check_hg(h: int, g: int) -> None:
+    """Reject (h, g) outside the convention g >= h >= 2 of C_h[g]-sets."""
+    if h < 2 or g < h:
+        raise ParameterError(f"need g >= h >= 2, got h={h}, g={g}")

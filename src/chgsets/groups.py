@@ -13,10 +13,15 @@ element order, and ``elem_key`` provides an order-compatible mixed-radix
 integer encoding.
 
 ``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
-into translation classes; every verifier and the bad-element detection
-read their verdicts from it.  It counts members under packed-integer
-pattern keys (built from ``elem_key``), then collects offsets only for the
-classes the caller asked for.
+into translation classes; every verifier, the bad-element detection and
+``canonicalize`` read their answers from it.  A class key packs the nonzero
+elements of the canonical pattern, as ``elem_key`` digits, into one int.
+One generator, ``_anchored_keys``, yields the keys of the (h-1)-subsets of
+the offsets u - t from an anchor element t.  In Z, anchoring every element
+over the later ones keys every h-subset by its minimum; on every kind, t
+is an offset of a class exactly when the class key is anchored at t, so
+the offsets are read off the same generator.  Group kinds count members
+under the smallest key over a subset's members instead.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -201,36 +206,20 @@ def translate(xs: GSet, k) -> GSet:
     return _gset_unchecked(group, shifted)
 
 
-def canonical_shift_tuple(group, subset):
-    """Canonical (pattern, shift) for a tuple of distinct elements.
-
-    The pattern is the lexicographically smallest sorted tuple among the
-    |X| candidates X - x (x in X); for intervals the only sensible shift is
-    min(X).  Patterns always contain the zero element, and two sets get the
-    same pattern exactly when they are translates of one another.
-    """
-    if not subset:
-        raise ParameterError("cannot canonicalize an empty set")
-    if isinstance(group, Interval):
-        m = min(subset)
-        return tuple(sorted(x - m for x in subset)), m
-    best = None
-    best_shift = None
-    for x in sorted(subset):
-        cand = tuple(sorted(sub(group, y, x) for y in subset))
-        if best is None or cand < best:
-            best = cand
-            best_shift = x
-    return best, best_shift
-
-
 def canonicalize(xs: GSet):
     """Canonical representative of the translation class of X.
 
-    Returns ``(pattern, shift)`` with ``pattern = X - shift``.
+    Returns ``(pattern, shift)`` with ``pattern = X - shift``.  X is the only
+    |X|-subset of itself, so this is the kernel's class of X: the pattern is
+    the lexicographically smallest X - x (X - min X for intervals), and the
+    shift the smallest x that gives it.
     """
-    pattern, shift = canonical_shift_tuple(xs.group, xs.elems)
-    return _gset_unchecked(xs.group, pattern), shift
+    if len(xs) < 2:
+        if not xs.elems:
+            raise ParameterError("cannot canonicalize an empty set")
+        return _gset_unchecked(xs.group, (zero(xs.group),)), xs.elems[0]
+    pc = enumerate_pattern_classes(xs, len(xs))[0]
+    return pc.pattern, pc.bases[0]
 
 
 def stabilizer(group, pattern):
@@ -281,123 +270,120 @@ def _unpack(key: int, radix: int, count: int) -> list:
     return digits
 
 
-def _subset_keys(group, elems, h: int):
-    """Packed class keys of the h-subsets of ``elems``, in ``combinations``
-    order.
+def _anchored_keys(tail, h: int, radix: int, anchor: int = 0):
+    """Packed keys of the (h-1)-combinations of the offsets x - ``anchor``,
+    x in ``tail`` (ascending keys), in ``combinations`` order.
 
-    A key packs the nonzero offsets of the canonical pattern, ascending, as
-    base-``radix`` digits: for group kinds, element keys of the offsets from
-    whichever member gives the smallest key (the lexicographically smallest
-    pattern); for intervals, the offsets from the minimum.  Key order is
-    thus pattern order.  Returns ``(keys, radix, shift_of)``: ``keys()``
-    iterates over one key per subset; ``shift_of(idx, key)`` is an element
-    x of the subset at indices ``idx`` with subset - x the pattern of
-    ``key``.  The h = 2 and h = 3 cases are unrolled for speed.
+    One lazy recursion over prefixes: a prefix packs the digits chosen so
+    far, times ``radix``, and the last digit is added to it.
     """
-    m = len(elems)
-    if isinstance(group, Interval):
-        radix = elems[-1] - elems[0] + 1
 
-        def keys():
-            if h == 2:
-                return chain.from_iterable(
-                    map((-a).__add__, elems[i + 1 :]) for i, a in enumerate(elems)
-                )
-            if h == 3:
-                return chain.from_iterable(
-                    map(((elems[j] - a) * radix - a).__add__, elems[j + 1 :])
-                    for i, a in enumerate(elems)
-                    for j in range(i + 1, m - 1)
-                )
-            return (_pack([x - s[0] for x in s[1:]], radix) for s in combinations(elems, h))
+    def rec(prefix, start, depth):
+        if depth == 1:
+            return map((prefix - anchor).__add__, tail[start:])
+        return chain.from_iterable(
+            rec((prefix + tail[i] - anchor) * radix, i + 1, depth - 1)
+            for i in range(start, len(tail) - depth + 1)
+        )
 
-        def shift_of(idx, key):
-            return elems[idx[0]]
+    return rec(0, 0, h - 1)
 
-        return keys, radix, shift_of
 
-    radix = order(group)
-    # diff[i][j] is the key of elems[j] - elems[i]
-    diff = [[elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
+def _min_keys(diff, h: int, radix: int):
+    """Packed class keys of the h-subsets of a group set, in
+    ``combinations`` order, from its difference table ``diff`` (``diff[i][j]``
+    is the key of element j minus element i).
 
-    def key_from(idx, t):
-        row = diff[t]
-        return _pack(sorted(row[u] for u in idx if u != t), radix)
-
-    def shift_of(idx, key):
-        return next(elems[t] for t in idx if key_from(idx, t) == key)
-
+    A subset's key is the smallest over its members x of the packed sorted
+    offsets from x, which is the lexicographically smallest pattern.  The
+    h = 2 and h = 3 cases are unrolled for speed.
+    """
+    m = len(diff)
     if h == 2:
         cols = list(zip(*diff))
+        return chain.from_iterable(map(min, diff[i][i + 1 :], cols[i][i + 1 :]) for i in range(m))
+    if h > 3:
+        return (
+            min(_pack(sorted(diff[t][u] for u in idx if u != t), radix) for t in idx)
+            for idx in combinations(range(m), h)
+        )
 
-        def keys():
-            return chain.from_iterable(
-                map(min, diff[i][i + 1 :], cols[i][i + 1 :]) for i in range(m)
-            )
-    elif h == 3:
-        def keys():
-            # the smallest of the three sorted offset pairs, one per member
-            for i in range(m - 2):
-                row_i = diff[i]
-                for j in range(i + 1, m - 1):
-                    row_j = diff[j]
-                    dij = row_i[j]
-                    dji = row_j[i]
-                    for k in range(j + 1, m):
-                        row_k = diff[k]
-                        u1, v1 = dij, row_i[k]
-                        if u1 > v1:
-                            u1, v1 = v1, u1
-                        u2, v2 = dji, row_j[k]
-                        if u2 > v2:
-                            u2, v2 = v2, u2
-                        if u2 < u1 or (u2 == u1 and v2 < v1):
-                            u1, v1 = u2, v2
-                        u3, v3 = row_k[i], row_k[j]
-                        if u3 > v3:
-                            u3, v3 = v3, u3
-                        if u3 < u1 or (u3 == u1 and v3 < v1):
-                            u1, v1 = u3, v3
-                        yield u1 * radix + v1
-    else:
-        def keys():
-            return (min(key_from(idx, t) for t in idx) for idx in combinations(range(m), h))
-    return keys, radix, shift_of
+    def triples():
+        # the smallest of the three sorted offset pairs, one per member
+        for i in range(m - 2):
+            row_i = diff[i]
+            for j in range(i + 1, m - 1):
+                row_j = diff[j]
+                dij = row_i[j]
+                dji = row_j[i]
+                for k in range(j + 1, m):
+                    row_k = diff[k]
+                    u1, v1 = dij, row_i[k]
+                    if u1 > v1:
+                        u1, v1 = v1, u1
+                    u2, v2 = dji, row_j[k]
+                    if u2 > v2:
+                        u2, v2 = v2, u2
+                    if u2 < u1 or (u2 == u1 and v2 < v1):
+                        u1, v1 = u2, v2
+                    u3, v3 = row_k[i], row_k[j]
+                    if u3 > v3:
+                        u3, v3 = v3, u3
+                    if u3 < u1 or (u3 == u1 and v3 < v1):
+                        u1, v1 = u3, v3
+                    yield u1 * radix + v1
+
+    return triples()
 
 
 def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
     """Translation classes of h-subsets of ``host`` with at least
     ``min_members`` member subsets, sorted by canonical pattern.
 
-    The count pass counts the member subsets of every class under packed
-    keys.  The shift pass enumerates the subsets again and collects shifts
-    only for the classes that passed the filter, so the full key set is
-    never copied or sorted.  ``bases`` lists every offset, which differs
-    from the member subsets only for a pattern with a nontrivial stabilizer
-    (each member then accounts for |stabilizer| offsets).
+    A class key packs the nonzero elements of its canonical pattern, as
+    element keys in ascending order, into base-``radix`` digits, so key
+    order is pattern order.  The count pass counts the member subsets of
+    every class.  The offset pass then reads offsets by anchoring: k is an
+    offset of the pattern with key K exactly when K is among the keys of
+    the (h-1)-subsets of the offsets u - k, u in the host.  Only the keys
+    that passed the filter are kept, so the full key set is never copied
+    or sorted.  ``bases`` lists every offset; a pattern with a nontrivial
+    stabilizer has several per member subset.
     """
     if h < 2:
         raise ParameterError(f"pattern size h must be >= 2, got {h}")
     group, elems = host.group, host.elems
     if h > len(elems):
         return []
-    keys, radix, shift_of = _subset_keys(group, elems, h)
-    counts = Counter(keys())
+    # anchored(i, t): the keys anchored at t = elems[i]
+    if isinstance(group, Interval):
+        # in Z a pattern's minimum is 0, so t anchors over the later elements
+        radix = elems[-1] - elems[0] + 1
+
+        def anchored(i, t):
+            return _anchored_keys(elems[i + 1 :], h, radix, t)
+
+        keys = chain.from_iterable(map(anchored, range(len(elems)), elems))
+    else:
+        radix = order(group)
+        # diff[i][j] is the key of elems[j] - elems[i]; diff[i][i] is 0
+        diff = [[elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
+
+        def anchored(i, t):
+            return _anchored_keys(sorted(diff[i])[1:], h, radix)
+
+        keys = _min_keys(diff, h, radix)
+    counts = Counter(keys)
     shifts = {key: [] for key, c in counts.items() if c >= min_members}
     del counts
     if shifts:
-        for key, idx in zip(keys(), combinations(range(len(elems)), h)):
-            members = shifts.get(key)
-            if members is not None:
-                members.append(shift_of(idx, key))
-    periodic = stabilizer_bound(group, h) > 1
+        wanted = shifts.keys()
+        for i, t in enumerate(elems):
+            for key in wanted & anchored(i, t):
+                shifts[key].append(t)
     out = []
     for key in sorted(shifts):
         digits = _unpack(key, radix, h - 1)
         pattern = (zero(group),) + tuple(elem_from_key(group, d) for d in digits)
-        bases = shifts[key]
-        if periodic:
-            stab = stabilizer(group, pattern)
-            bases = {add(group, s, t) for s in bases for t in stab}
-        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(sorted(bases))))
+        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(shifts[key])))
     return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_hg
 from .groups import GSet, Interval, gset
 from .verify import verify_chg
 
@@ -53,8 +53,7 @@ class SearchResult:
 
 
 def _check_params(n: int, h: int, g: int, n_limit, node_cap: int) -> None:
-    if h < 2 or g < h:
-        raise ParameterError(f"need g >= h >= 2, got h={h}, g={g}")
+    check_hg(h, g)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if node_cap < 1:
@@ -66,7 +65,8 @@ def _check_params(n: int, h: int, g: int, n_limit, node_cap: int) -> None:
 
 class _ClassCounter:
     """Incremental per-class member counts for a growing set in the window
-    {0..n-1}.
+    {0..n-1}: the incremental form of the min-anchored key that
+    ``groups.enumerate_pattern_classes`` counts in one batch on intervals.
 
     Elements arrive in ascending order, so every new h-subset containing
     the newcomer a has its minimum b among the old elements, and its class
@@ -122,8 +122,7 @@ class _ClassCounter:
 def greedy_chg(n: int, h: int, g: int) -> GSet:
     """Scan the window upward, keeping every element that leaves all class
     counts below g.  Always verifies; never beats the exact search."""
-    if h < 2 or g < h:
-        raise ParameterError(f"need g >= h >= 2, got h={h}, g={g}")
+    check_hg(h, g)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     counter = _ClassCounter(n, h, g)

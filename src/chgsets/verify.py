@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParameterError, ResourceCapError
+from .errors import ParameterError, ResourceCapError, check_hg
 from .groups import (
     Cyclic,
     GSet,
     Interval,
     _gset_unchecked,
-    add,
+    elem_key,
     enumerate_pattern_classes,
     gset,
     iter_elements,
@@ -32,11 +32,6 @@ from .groups import (
 
 DEFAULT_SUBSET_CAP = 10**8
 DEFAULT_ORDER_CAP = 512
-
-
-def _check_hg(h: int, g: int) -> None:
-    if h < 2 or g < h:
-        raise ParameterError(f"need g >= h >= 2, got h={h}, g={g}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CA
     at most ``stabilizer_bound`` offsets, so classes with fewer than
     ceil(g / bound) members are never collected.
     """
-    _check_hg(h, g)
+    check_hg(h, g)
     if len(target) < h:
         return Verdict(True)
     _cap_check(len(target), h, subset_cap)
@@ -108,7 +103,7 @@ def find_disjoint_translates(group, pattern, shifts, g: int):
 def verify_weak_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
     """Exact weak-C_h[g] verdict: no class may contain g pairwise-disjoint
     translates.  Implied by the plain C_h[g] property."""
-    _check_hg(h, g)
+    check_hg(h, g)
     if len(target) < h * g:
         # g disjoint translates of an h-set need hg distinct elements
         return Verdict(True)
@@ -149,14 +144,14 @@ def build_zmatrix(target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
     if n > order_cap:
         raise ResourceCapError(f"group order {n} exceeds cap {order_cap}")
     elements = tuple(iter_elements(group))
-    members = set(target.elems)
     rows = []
     for b in elements:
+        # b + c lies in A exactly when c = a - b for some a in A, and the
+        # column of c is its element key
         mask = 0
-        for j, c in enumerate(elements):
-            if add(group, b, c) in members:
-                mask |= 1 << j
-        if mask.bit_count() != len(members):
+        for a in target.elems:
+            mask |= 1 << elem_key(group, sub(group, a, b))
+        if mask.bit_count() != len(target):
             raise RuntimeError("row sum differs from |A| (broken group arithmetic)")
         rows.append(mask)
     return ZMatrix(n, tuple(rows), elements, target)
@@ -165,7 +160,7 @@ def build_zmatrix(target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
 def check_kgh_params(group, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
     """Reject a K_{g,h} check on the sum matrix of ``group`` before the
     matrix is built: parameter errors first, then the column cap."""
-    _check_hg(h, g)
+    check_hg(h, g)
     _require_group(group)
     n = order(group)
     if math.comb(n, h) * n > subset_cap:
@@ -176,18 +171,14 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
     """Holds iff no g x h all-ones submatrix exists (g rows, h columns).
 
     Enumerates h-subsets of columns (h <= g makes that the cheap side) and
-    counts all-ones rows by bitset intersection.  A witness is reported as
-    the column elements (pattern) and the first g row elements (bases).
+    counts all-ones rows by bitset intersection.  Since b + c = c + b the
+    matrix is symmetric, so the rows serve as the columns.  A witness is
+    reported as the column elements (pattern) and the first g row elements
+    (bases).
     """
     check_kgh_params(zm.source.group, g, h, subset_cap)
     n = zm.n
-    cols = []
-    for j in range(n):
-        mask = 0
-        for i, row in enumerate(zm.rows):
-            if row >> j & 1:
-                mask |= 1 << i
-        cols.append(mask)
+    cols = zm.rows
     for combo in combinations(range(n), h):
         inter = cols[combo[0]]
         for j in combo[1:]:

@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,3 +261,21 @@ class TestDeterminism:
         _, r1, _ = run_cli(capsys, "search", "--n-max", "10", "--h", "2", "--g", "2")
         _, r2, _ = run_cli(capsys, "search", "--n-max", "10", "--h", "2", "--g", "2")
         assert strip_volatile(r1) == strip_volatile(r2)
+
+
+class TestTracedSites:
+    def test_every_site_resolves(self):
+        # the benchmark's traced run swaps these import sites for timing
+        # wrappers; a site that a refactor drops breaks that run
+        path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = tracing  # dataclasses look their module up
+        try:
+            spec.loader.exec_module(tracing)
+        finally:
+            del sys.modules[spec.name]
+        for module, attr, name, _ in tracing.SITES:
+            site = importlib.import_module(f"chgsets.{module}")
+            home, _, func = name.partition(".")
+            assert getattr(site, attr) is getattr(importlib.import_module(f"chgsets.{home}"), func)

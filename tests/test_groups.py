@@ -21,7 +21,6 @@ from chgsets import (
     translate,
     zero,
 )
-from chgsets.groups import canonical_shift_tuple
 
 
 def groups_strategy():
@@ -133,7 +132,7 @@ class TestCanonicalize:
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            canonical_shift_tuple(Cyclic(5), ())
+            canonicalize(gset(Cyclic(5), ()))
 
     @given(group_and_set(), st.data())
     def test_translation_invariance(self, gs, data):
@@ -141,13 +140,19 @@ class TestCanonicalize:
         k = data.draw(elem_strategy(group))
         xs = gset(group, elems)
         moved = translate(xs, k)
+        assert canonicalize(xs)[0] == canonicalize(moved)[0]
+
+    @given(group_and_set())
+    def test_matches_brute_force_minimum(self, gs):
+        # every x in X is a candidate shift; in Z only those leaving the
+        # pattern in the non-negative window (x = min X) are admissible
+        group, elems = gs
+        xs = gset(group, elems)
+        cands = [(tuple(sorted(sub(group, y, x) for y in xs.elems)), x) for x in xs.elems]
         if isinstance(group, Interval):
-            # stay within validated territory: translates are plain shifts
-            pat1, _ = canonical_shift_tuple(group, xs.elems)
-            pat2, _ = canonical_shift_tuple(group, moved.elems)
-            assert pat1 == pat2
-        else:
-            assert canonicalize(xs)[0] == canonicalize(moved)[0]
+            cands = [(pat, x) for pat, x in cands if pat[0] >= 0]
+        pat, shift = canonicalize(xs)
+        assert (pat.elems, shift) == min(cands)
 
     @given(group_and_set())
     def test_pattern_contains_zero_and_reconstructs(self, gs):
@@ -218,7 +223,7 @@ class TestPatternClasses:
         assert pc.bases == (0, 3)
         assert stabilizer(g, pc.pattern.elems) == [0, 3]
 
-    @given(group_and_set(), st.integers(2, 4))
+    @given(group_and_set(), st.integers(2, 5))
     def test_member_count_identity(self, gs, h):
         group, elems = gs
         host = gset(group, elems)
@@ -238,18 +243,18 @@ class TestPatternClasses:
             # in Z no pattern is periodic, so offsets == member subsets
             assert sum(len(pc.bases) for pc in classes) == math.comb(len(host), h)
 
-    @given(group_and_set(), st.integers(2, 3))
+    @given(group_and_set(), st.integers(2, 5))
     def test_bases_are_exhaustive(self, gs, h):
         group, elems = gs
         host = gset(group, elems)
-        if h > len(host) or not isinstance(group, (Cyclic, Product)):
+        if h > len(host):
             return
         members = set(host.elems)
+        # in Z an offset k puts k = 0 + k in the host, so the host holds them all
+        ambient = host.elems if isinstance(group, Interval) else list(iter_elements(group))
         for pc in enumerate_pattern_classes(host, h):
             expected = [
-                k
-                for k in iter_elements(group)
-                if all(add(group, x, k) in members for x in pc.pattern.elems)
+                k for k in ambient if all(add(group, x, k) in members for x in pc.pattern.elems)
             ]
             assert list(pc.bases) == expected
 

@@ -29,6 +29,19 @@ from oracles import (
 )
 
 
+def small_group_set():
+    """A random subset of a small Cyclic or Product group, composite moduli
+    included."""
+    group = st.one_of(
+        st.integers(2, 12).map(Cyclic),
+        st.sampled_from([Product(2, 2), Product(3, 2), Product(2, 3),
+                         Product(4, 1), Product(4, 2), Product(6, 1)]),
+    )
+    return group.flatmap(lambda g: st.lists(st.sampled_from(list(iter_elements(g))),
+                                            max_size=8, unique=True)
+                         .map(lambda elems: gset(g, elems)))
+
+
 def interval_set(elems, n=None):
     n = n if n is not None else max(elems) + 1
     return gset(Interval(n), elems)
@@ -263,9 +276,10 @@ class TestZMatrix:
         with pytest.raises(ResourceCapError):
             build_zmatrix(gset(g, [0]), order_cap=50)
 
-    def test_entry_definition(self):
-        g = Product(2, 2)
-        a = gset(g, [(0, 1), (1, 0)])
+    @given(small_group_set())
+    @example(gset(Product(2, 2), [(0, 1), (1, 0)]))
+    def test_entry_definition(self, a):
+        g = a.group
         zm = build_zmatrix(a)
         for i, b in enumerate(zm.elements):
             for j, c in enumerate(zm.elements):
@@ -364,3 +378,10 @@ class TestMatrixConsistency:
             assert check_kgh_free(zm, g, h).holds
             ones = sum(row.bit_count() for row in zm.rows)
             assert ones == zm.n * len(a)
+
+    @given(small_group_set(), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    def test_kgh_free_matches_verdict(self, a, hg):
+        # g rows b and h columns c with every b + c in A are g offsets of
+        # the h-set of columns
+        h, g = hg
+        assert check_kgh_free(build_zmatrix(a), g, h).holds == verify_chg(a, h, g).holds
