@@ -30,7 +30,7 @@ from .constructions import (
     sphere_set,
     weak_random_set,
 )
-from .errors import ParameterError, ResourceCapError, RetryExhaustedError
+from .errors import ParameterError, ResourceCapError, RetryExhaustedError, check_cap
 from .groups import GSet, Interval, Product
 from .rng import RNG_NAME, RNG_VERSION
 from .setio import group_to_string, read_set, write_pbm, write_set, zmatrix_summary
@@ -107,6 +107,7 @@ def _auto_verify(gs: GSet, h: int, g: int, cap: int) -> Verdict | None:
 
 def _cmd_construct_sphere(args) -> int:
     started = time.monotonic()
+    check_cap("subset cap", args.subset_cap)
     if args.embed is None and args.p is None:
         raise ParameterError("construct sphere needs --p, --embed, or both")
     if args.embed is not None:
@@ -138,6 +139,7 @@ def _cmd_construct_sphere(args) -> int:
 
 def _cmd_construct_norm(args) -> int:
     started = time.monotonic()
+    check_cap("subset cap", args.subset_cap)
     gs, guarantee = norm_set(args.q, args.h)
     if args.embed:
         gs = freiman_embed(2 * args.q, gs)
@@ -162,6 +164,7 @@ def _cmd_construct_norm(args) -> int:
 
 def _cmd_construct_weak(args) -> int:
     started = time.monotonic()
+    check_cap("subset cap", args.subset_cap)
     gs, attempts, sizes = weak_random_set(
         args.n, args.h, args.g, args.seed, max_attempts=args.max_attempts
     )
@@ -238,6 +241,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_zmatrix(args) -> int:
     started = time.monotonic()
+    check_cap("order cap", args.order_cap)
     gs = read_set(args.set)
     check_kgh_params(gs.group, args.g, args.h, subset_cap=args.subset_cap)
     zm = build_zmatrix(gs, order_cap=args.order_cap)

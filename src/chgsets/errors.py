@@ -30,3 +30,9 @@ def check_hg(h: int, g: int) -> None:
     """Reject (h, g) outside the convention g >= h >= 2 of C_h[g]-sets."""
     if h < 2 or g < h:
         raise ParameterError(f"need g >= h >= 2, got h={h}, g={g}")
+
+
+def check_cap(name: str, cap: int) -> None:
+    """Reject a resource cap below 1, under which no work fits."""
+    if cap < 1:
+        raise ParameterError(f"{name} must be >= 1, got {cap}")

@@ -13,15 +13,15 @@ element order, and ``elem_key`` provides an order-compatible mixed-radix
 integer encoding.
 
 ``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
-into translation classes; every verifier, the bad-element detection and
-``canonicalize`` read their answers from it.  A class key packs the nonzero
-elements of the canonical pattern, as ``elem_key`` digits, into one int.
-One generator, ``_anchored_keys``, yields the keys of the (h-1)-subsets of
-the offsets u - t from an anchor element t.  In Z, anchoring every element
-over the later ones keys every h-subset by its minimum; on every kind, t
-is an offset of a class exactly when the class key is anchored at t, so
-the offsets are read off the same generator.  Group kinds count members
-under the smallest key over a subset's members instead.
+into translation classes; every verifier and the bad-element detection read
+their answers from it.  It searches the zero-anchored patterns depth-first
+in key order and carries each prefix's offsets, the host elements k with
+k + prefix inside the host.  Offsets only shrink as a pattern grows, so a
+prefix with fewer offsets than the wanted member count is pruned.  The first
+level comes from the difference table; deeper levels intersect offset rows
+kept as int bitmasks over the surviving differences, so the work and the
+memory follow the host's differences, never the size of the ambient.
+``canonicalize`` takes its minimum over the |X| candidate shifts directly.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product as iter_product
+from itertools import chain, product as iter_product
 
 from .errors import ParameterError
 
@@ -209,17 +209,16 @@ def translate(xs: GSet, k) -> GSet:
 def canonicalize(xs: GSet):
     """Canonical representative of the translation class of X.
 
-    Returns ``(pattern, shift)`` with ``pattern = X - shift``.  X is the only
-    |X|-subset of itself, so this is the kernel's class of X: the pattern is
-    the lexicographically smallest X - x (X - min X for intervals), and the
-    shift the smallest x that gives it.
+    Returns ``(pattern, shift)`` with ``pattern = X - shift``: the
+    lexicographically smallest X - x over x in X (X - min X for intervals),
+    compared as sorted element keys, and the smallest x that gives it.
     """
-    if len(xs) < 2:
-        if not xs.elems:
-            raise ParameterError("cannot canonicalize an empty set")
-        return _gset_unchecked(xs.group, (zero(xs.group),)), xs.elems[0]
-    pc = enumerate_pattern_classes(xs, len(xs))[0]
-    return pc.pattern, pc.bases[0]
+    group, elems = xs.group, xs.elems
+    if not elems:
+        raise ParameterError("cannot canonicalize an empty set")
+    shifts = elems[:1] if isinstance(group, Interval) else elems
+    keys, shift = min((sorted(elem_key(group, sub(group, y, x)) for y in elems), x) for x in shifts)
+    return _gset_unchecked(group, tuple(elem_from_key(group, k) for k in keys)), shift
 
 
 def stabilizer(group, pattern):
@@ -256,134 +255,110 @@ class PatternClass:
     bases: tuple
 
 
-def _pack(digits, radix: int) -> int:
-    key = 0
-    for d in digits:
-        key = key * radix + d
-    return key
-
-
-def _unpack(key: int, radix: int, count: int) -> list:
-    digits = [0] * count
-    for i in range(count - 1, -1, -1):
-        key, digits[i] = divmod(key, radix)
-    return digits
-
-
-def _anchored_keys(tail, h: int, radix: int, anchor: int = 0):
-    """Packed keys of the (h-1)-combinations of the offsets x - ``anchor``,
-    x in ``tail`` (ascending keys), in ``combinations`` order.
-
-    One lazy recursion over prefixes: a prefix packs the digits chosen so
-    far, times ``radix``, and the last digit is added to it.
-    """
-
-    def rec(prefix, start, depth):
-        if depth == 1:
-            return map((prefix - anchor).__add__, tail[start:])
-        return chain.from_iterable(
-            rec((prefix + tail[i] - anchor) * radix, i + 1, depth - 1)
-            for i in range(start, len(tail) - depth + 1)
-        )
-
-    return rec(0, 0, h - 1)
-
-
-def _min_keys(diff, h: int, radix: int):
-    """Packed class keys of the h-subsets of a group set, in
-    ``combinations`` order, from its difference table ``diff`` (``diff[i][j]``
-    is the key of element j minus element i).
-
-    A subset's key is the smallest over its members x of the packed sorted
-    offsets from x, which is the lexicographically smallest pattern.  The
-    h = 2 and h = 3 cases are unrolled for speed.
-    """
-    m = len(diff)
-    if h == 2:
-        cols = list(zip(*diff))
-        return chain.from_iterable(map(min, diff[i][i + 1 :], cols[i][i + 1 :]) for i in range(m))
-    if h > 3:
-        return (
-            min(_pack(sorted(diff[t][u] for u in idx if u != t), radix) for t in idx)
-            for idx in combinations(range(m), h)
-        )
-
-    def triples():
-        # the smallest of the three sorted offset pairs, one per member
-        for i in range(m - 2):
-            row_i = diff[i]
-            for j in range(i + 1, m - 1):
-                row_j = diff[j]
-                dij = row_i[j]
-                dji = row_j[i]
-                for k in range(j + 1, m):
-                    row_k = diff[k]
-                    u1, v1 = dij, row_i[k]
-                    if u1 > v1:
-                        u1, v1 = v1, u1
-                    u2, v2 = dji, row_j[k]
-                    if u2 > v2:
-                        u2, v2 = v2, u2
-                    if u2 < u1 or (u2 == u1 and v2 < v1):
-                        u1, v1 = u2, v2
-                    u3, v3 = row_k[i], row_k[j]
-                    if u3 > v3:
-                        u3, v3 = v3, u3
-                    if u3 < u1 or (u3 == u1 and v3 < v1):
-                        u1, v1 = u3, v3
-                    yield u1 * radix + v1
-
-    return triples()
-
-
 def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
     """Translation classes of h-subsets of ``host`` with at least
     ``min_members`` member subsets, sorted by canonical pattern.
 
-    A class key packs the nonzero elements of its canonical pattern, as
-    element keys in ascending order, into base-``radix`` digits, so key
-    order is pattern order.  The count pass counts the member subsets of
-    every class.  The offset pass then reads offsets by anchoring: k is an
-    offset of the pattern with key K exactly when K is among the keys of
-    the (h-1)-subsets of the offsets u - k, u in the host.  Only the keys
-    that passed the filter are kept, so the full key set is never copied
-    or sorted.  ``bases`` lists every offset; a pattern with a nontrivial
+    A depth-first search over the zero-anchored patterns (0, d1, ..., d_{h-1}),
+    d1 < ... < d_{h-1} in element-key order, so patterns come out in pattern
+    order.  A node carries its offsets: the host elements k with
+    k + prefix inside the host.  A pattern's offsets are a subset of its
+    prefix's offsets and it has at least as many offsets as member subsets,
+    so a child that keeps fewer than ``min_members`` offsets is pruned
+    exactly.
+
+    Level 1 comes from the difference table: one count pass, then the
+    offsets of only the differences d that reach ``min_members``.  At h = 2
+    on group kinds the count pass keys each pair by its class, the smaller
+    of d and -d, so level 1 holds the classes themselves.  Deeper,
+    the row of an element k is an int bitmask over those differences (bit j
+    set when k + d_j is in the host), built when a node first needs it;
+    carry-save counters over a node's rows give the children with enough
+    offsets.  Mask widths follow the differences, never the ambient.
+
+    In Z a pattern's minimum is 0, so every pattern found is canonical.  On
+    group kinds a class has one zero-anchored pattern per member up to the
+    stabilizer: a leaf is kept only when no P - p sorts before P, and its
+    member count is its offset count over the stabilizer's size.  ``bases``
+    lists every offset in ascending order; a pattern with a nontrivial
     stabilizer has several per member subset.
     """
     if h < 2:
         raise ParameterError(f"pattern size h must be >= 2, got {h}")
     group, elems = host.group, host.elems
-    if h > len(elems):
+    m = len(elems)
+    if h > m:
         return []
-    # anchored(i, t): the keys anchored at t = elems[i]
-    if isinstance(group, Interval):
-        # in Z a pattern's minimum is 0, so t anchors over the later elements
-        radix = elems[-1] - elems[0] + 1
+    least = max(min_members, 1)
+    interval = isinstance(group, Interval)
+    if interval:
+        # in Z a pattern's minimum is 0, so only the later elements count
 
-        def anchored(i, t):
-            return _anchored_keys(elems[i + 1 :], h, radix, t)
+        def diffs(i):
+            return map((-elems[i]).__add__, elems[i + 1 :])
 
-        keys = chain.from_iterable(map(anchored, range(len(elems)), elems))
+        level = map(diffs, range(m))
     else:
-        radix = order(group)
-        # diff[i][j] is the key of elems[j] - elems[i]; diff[i][i] is 0
-        diff = [[elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
-
-        def anchored(i, t):
-            return _anchored_keys(sorted(diff[i])[1:], h, radix)
-
-        keys = _min_keys(diff, h, radix)
-    counts = Counter(keys)
-    shifts = {key: [] for key, c in counts.items() if c >= min_members}
+        # table[i][j] is the key of elems[j] - elems[i]; table[i][i] is 0
+        table = [[elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
+        diffs = table.__getitem__
+        level = table
+        if h == 2:
+            # count pairs under their class key, the smaller of d and -d
+            cols = list(zip(*table))
+            level = (map(min, table[i][i + 1 :], cols[i][i + 1 :]) for i in range(m))
+    counts = Counter(chain.from_iterable(level))
+    level1 = sorted(d for d, c in counts.items() if c >= least and d)
     del counts
-    if shifts:
-        wanted = shifts.keys()
-        for i, t in enumerate(elems):
-            for key in wanted & anchored(i, t):
-                shifts[key].append(t)
+    offsets = {d: [] for d in level1}
+    wanted = offsets.keys()
+    for i in range(m):
+        for d in wanted & diffs(i):
+            offsets[d].append(i)
+    origin = zero(group)
     out = []
-    for key in sorted(shifts):
-        digits = _unpack(key, radix, h - 1)
-        pattern = (zero(group),) + tuple(elem_from_key(group, d) for d in digits)
-        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(shifts[key])))
+
+    def emit(digits, offs):
+        if isinstance(group, Product):
+            pattern = (origin, *(elem_from_key(group, d) for d in digits))
+        else:
+            pattern = (origin, *digits)  # an int element is its own key
+        if h > 2 and not interval:
+            keys = [0, *digits]
+            shifted = [sorted(elem_key(group, sub(group, x, p)) for x in pattern) for p in pattern]
+            # P - p == P exactly when p is in the stabilizer
+            if min(shifted) < keys or len(offs) // shifted.count(keys) < least:
+                return
+        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(map(elems.__getitem__, offs))))
+
+    index = {d: j for j, d in enumerate(level1)}
+    rows = [None] * m
+
+    def grow(digits, offs, last):
+        # ge[t]: the bits set in more than t of the rows of offs
+        ge = [0] * least
+        for i in offs:
+            row = rows[i]
+            if row is None:
+                hits = map(index.__getitem__, index.keys() & diffs(i))
+                row = rows[i] = sum(map((1).__lshift__, hits))
+            for t in range(least - 1, 0, -1):
+                ge[t] |= ge[t - 1] & row
+            ge[0] |= row
+        above = ge[-1] >> (last + 1) << (last + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            j = low.bit_length() - 1
+            kids = [i for i in offs if rows[i] & low]
+            if len(digits) + 2 == h:
+                emit(digits + (level1[j],), kids)
+            else:
+                grow(digits + (level1[j],), kids, j)
+
+    for j, d in enumerate(level1):
+        if h == 2:
+            emit((d,), offsets[d])
+        else:
+            grow((d,), offsets[d], j)
     return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_hg
+from .errors import ParameterError, check_cap, check_hg
 from .groups import GSet, Interval, gset
 from .verify import verify_chg
 
@@ -56,8 +56,7 @@ def _check_params(n: int, h: int, g: int, n_limit, node_cap: int) -> None:
     check_hg(h, g)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if node_cap < 1:
-        raise ParameterError(f"node cap must be >= 1, got {node_cap}")
+    check_cap("node cap", node_cap)
     limit = n_limit if n_limit is not None else DEFAULT_N_LIMITS.get(h, _FALLBACK_N_LIMIT)
     if n > limit:
         raise ParameterError(f"n={n} above configured search range {limit} for h={h}")
@@ -65,8 +64,10 @@ def _check_params(n: int, h: int, g: int, n_limit, node_cap: int) -> None:
 
 class _ClassCounter:
     """Incremental per-class member counts for a growing set in the window
-    {0..n-1}: the incremental form of the min-anchored key that
-    ``groups.enumerate_pattern_classes`` counts in one batch on intervals.
+    {0..n-1}, keyed on offsets from each subset's minimum, as in the
+    zero-anchored patterns of ``groups.enumerate_pattern_classes``.  The
+    search adds one element at a time and undoes it, so counts are kept
+    per class rather than re-derived from the set.
 
     Elements arrive in ascending order, so every new h-subset containing
     the newcomer a has its minimum b among the old elements, and its class

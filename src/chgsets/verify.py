@@ -5,8 +5,9 @@ admits g distinct offsets (pattern + k inside A for g different k); the
 weak variant additionally requires the g translates to be pairwise
 disjoint.  Both verdicts read the classes from the one class kernel,
 ``groups.enumerate_pattern_classes``, asking only for classes with enough
-member subsets to matter.  Caps are counted in enumerated subsets, so a
-verdict is either exact or a ``ResourceCapError``, never approximate.
+member subsets to matter.  The subset cap bounds C(|A|, h) before any
+work, so a verdict is either exact or a ``ResourceCapError``, never
+approximate; a cap below 1 is a ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParameterError, ResourceCapError, check_hg
+from .errors import ParameterError, ResourceCapError, check_cap, check_hg
 from .groups import (
     Cyclic,
     GSet,
@@ -66,6 +67,7 @@ def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CA
     ceil(g / bound) members are never collected.
     """
     check_hg(h, g)
+    check_cap("subset cap", subset_cap)
     if len(target) < h:
         return Verdict(True)
     _cap_check(len(target), h, subset_cap)
@@ -104,6 +106,7 @@ def verify_weak_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBS
     """Exact weak-C_h[g] verdict: no class may contain g pairwise-disjoint
     translates.  Implied by the plain C_h[g] property."""
     check_hg(h, g)
+    check_cap("subset cap", subset_cap)
     if len(target) < h * g:
         # g disjoint translates of an h-set need hg distinct elements
         return Verdict(True)
@@ -140,6 +143,7 @@ def build_zmatrix(target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
     """Sum matrix of A in its group; every row holds exactly |A| ones."""
     group = target.group
     _require_group(group)
+    check_cap("order cap", order_cap)
     n = order(group)
     if n > order_cap:
         raise ResourceCapError(f"group order {n} exceeds cap {order_cap}")
@@ -161,6 +165,7 @@ def check_kgh_params(group, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP
     """Reject a K_{g,h} check on the sum matrix of ``group`` before the
     matrix is built: parameter errors first, then the column cap."""
     check_hg(h, g)
+    check_cap("subset cap", subset_cap)
     _require_group(group)
     n = order(group)
     if math.comb(n, h) * n > subset_cap:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chgsets import norm_set, write_set
 from chgsets.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -224,6 +225,48 @@ class TestZMatrixCommand:
             capsys, "zmatrix", "--set", str(FIXTURES / "ap5.txt"), "--g", "2", "--h", "2"
         )
         assert code == 4
+
+
+class TestCapsBelowOne:
+    COMMANDS = {
+        "verify": ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "2", "--g", "2",
+                   "--subset-cap"),
+        "verify-weak": ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "2", "--g", "2",
+                        "--weak", "--subset-cap"),
+        "construct-weak": ("construct", "weak", "--n", "20000", "--h", "2", "--g", "2",
+                           "--seed", "7", "--subset-cap"),
+        "construct-sphere": ("construct", "sphere", "--p", "5", "--subset-cap"),
+        "construct-norm": ("construct", "norm", "--q", "3", "--h", "2", "--subset-cap"),
+        "zmatrix": ("zmatrix", "--set", "{norm}", "--g", "3", "--h", "2", "--subset-cap"),
+        "zmatrix-order": ("zmatrix", "--set", "{norm}", "--g", "3", "--h", "2", "--order-cap"),
+    }
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_four_before_any_work(self, capsys, monkeypatch, tmp_path, command, cap):
+        import chgsets.cli
+        import chgsets.verify
+
+        norm = tmp_path / "norm.txt"
+        write_set(norm, norm_set(3, 2)[0])
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the cap was checked")
+
+        for module, name in [(chgsets.cli, "weak_random_set"), (chgsets.cli, "sphere_set"),
+                             (chgsets.cli, "norm_set"), (chgsets.cli, "build_zmatrix"),
+                             (chgsets.verify, "enumerate_pattern_classes")]:
+            monkeypatch.setattr(module, name, work)
+        argv = [a.format(norm=norm) for a in self.COMMANDS[command]] + [cap]
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert report is None
+        assert "parameter error" in err and "must be >= 1" in err
+
+    def test_cap_of_one_skips_auto_verify(self, capsys):
+        code, report, _ = run_cli(capsys, "construct", "sphere", "--p", "5", "--subset-cap", "1")
+        assert code == 0
+        assert report["verdict"] is None
 
 
 class TestBoundsCommand:

@@ -1,3 +1,7 @@
+import math
+import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,10 +21,13 @@ from chgsets import (
     interval_to_cyclic,
     iter_elements,
     norm_set,
+    order,
     sphere_set,
+    sub,
     verify_chg,
     verify_weak_chg,
 )
+from chgsets.verify import check_kgh_params
 from oracles import (
     naive_is_chg_group,
     naive_is_chg_interval,
@@ -100,6 +107,14 @@ class TestVerifyChg:
         a = interval_set(list(range(30)), 30)
         with pytest.raises(ResourceCapError):
             verify_chg(a, 3, 3, subset_cap=10)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        # rejected even where no subset would be enumerated
+        a = interval_set([1, 2], 5)
+        for check in (verify_chg, verify_weak_chg):
+            with pytest.raises(ParameterError):
+                check(a, 2, 2, subset_cap=cap)
 
     def test_periodic_pattern_counts_offsets(self):
         # {0,3} in Z_6 is fixed by adding 3: two distinct offsets reuse one
@@ -214,6 +229,113 @@ class TestVerifyChg:
                     assert_valid_witness(a, verdict, h, g, weak=weak)
 
 
+def structured_hosts():
+    """Hosts whose classes repeat, so the class kernel's member filter
+    prunes: progressions, unions of subgroup cosets (periodic patterns
+    included) and small sphere and norm sets."""
+    c12, p42, p24 = Cyclic(12), Product(4, 2), Product(2, 4)
+    return {
+        "progression-interval": gset(Interval(40), range(1, 40, 3)),
+        "two-progressions-interval": gset(Interval(30), [*range(0, 16, 2), *range(19, 27)]),
+        "progression-cyclic12": gset(c12, range(1, 12, 2)),
+        "cosets-cyclic12-mod4": gset(c12, [x for x in range(12) if x % 4 in (0, 1)]),
+        "cosets-cyclic12-mod3": gset(c12, [x for x in range(12) if x % 3 != 2]),
+        "cosets-cyclic12-mod6": gset(c12, [0, 6, 1, 7, 3, 9, 5]),
+        "cosets-product42": gset(p42, [(a, b) for a in range(4) for b in range(4)
+                                       if a % 2 == 0 and b in (0, 1, 2)]),
+        "progression-product42": gset(p42, [(i, 3 * i % 4) for i in range(4)] + [(1, 0)]),
+        "cosets-product24": gset(p24, [x for x in iter_elements(p24) if x[0] == x[1] or x[3] == 1]),
+        "sphere3": sphere_set(3),
+        "sphere5": sphere_set(5),
+        "norm-2-3": norm_set(2, 3)[0],
+        "norm-3-3": norm_set(3, 3)[0],
+        "norm-2-4": norm_set(2, 4)[0],
+    }
+
+
+STRUCTURED = structured_hosts()
+
+
+def _oracle_cost(host, h):
+    # the group oracles scan C(|G|, h) patterns at |G| offsets each
+    if isinstance(host.group, Interval):
+        return 0
+    return math.comb(order(host.group), h) * order(host.group)
+
+
+# C(20, 4) subsets of sphere5, each class scanning a 125-element ambient, take too long
+CLASS_CASES = [(name, h) for name in sorted(STRUCTURED) for h in (2, 3, 4)
+               if (name, h) != ("sphere5", 4)]
+ORACLE_CASES = [(name, h) for name in sorted(STRUCTURED) for h in (2, 3, 4)
+                if _oracle_cost(STRUCTURED[name], h) < 10**5]
+
+
+def classes_by_definition(host, h):
+    """(pattern, member count, offsets) of every class of h-subsets, sorted
+    by pattern: a subset's pattern is its smallest S - s (S - min S in Z),
+    its offsets every k of the ambient (of the host, in Z) with
+    pattern + k inside the host."""
+    group = host.group
+    interval = isinstance(group, Interval)
+    members = Counter()
+    for subset in combinations(host.elems, h):
+        shifts = subset[:1] if interval else subset
+        members[min(tuple(sorted(sub(group, y, x) for y in subset)) for x in shifts)] += 1
+    inside = set(host.elems)
+    ambient = host.elems if interval else list(iter_elements(group))
+    return [
+        (pattern, count, tuple(k for k in ambient
+                               if all(add(group, x, k) in inside for x in pattern)))
+        for pattern, count in sorted(members.items())
+    ]
+
+
+class TestStructuredHosts:
+    @pytest.mark.parametrize("name, h", CLASS_CASES)
+    def test_classes_match_definition(self, name, h):
+        host = STRUCTURED[name]
+        table = classes_by_definition(host, h)
+        for least in (1, 2, 3, 4):
+            expected = [(pattern, bases) for pattern, count, bases in table if count >= least]
+            got = [(pc.pattern.elems, pc.bases)
+                   for pc in enumerate_pattern_classes(host, h, least)]
+            assert got == expected
+
+    @pytest.mark.parametrize("name, h", ORACLE_CASES)
+    def test_verdicts_match_oracles(self, name, h):
+        host = STRUCTURED[name]
+        group, elems = host.group, host.elems
+        if isinstance(group, Interval):
+            plain, weak = naive_is_chg_interval, naive_is_weak_chg_interval
+            expected = {g: (plain(elems, h, g), weak(elems, h, g)) for g in (h, h + 1)}
+        else:
+            expected = {g: (naive_is_chg_group(group, elems, h, g),
+                            naive_is_weak_chg_group(group, elems, h, g)) for g in (h, h + 1)}
+        for g, (holds, weak_holds) in expected.items():
+            for check, want, weak in ((verify_chg, holds, False),
+                                      (verify_weak_chg, weak_holds, True)):
+                verdict = check(host, h, g)
+                assert verdict.holds == want
+                if not want:
+                    assert_valid_witness(host, verdict, h, g, weak=weak)
+
+    @pytest.mark.parametrize("group", [Interval(10**9), Cyclic(10**12)])
+    def test_memory_follows_differences_not_ambient(self, group):
+        # 300 random points of a huge ambient are a C_3[3]-set with
+        # overwhelming likelihood; the kernel must hold neither C(300, 3)
+        # subsets nor masks as wide as the ambient
+        rng = random.Random(300)
+        host = gset(group, rng.sample(range(order(group)), 300))
+        tracemalloc.start()
+        try:
+            verdict = verify_chg(host, 3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak < 32 * 2**20
+
+
 class TestVerifyWeak:
     def test_disjoint_pair_found(self):
         a = interval_set([1, 2, 3, 4], 5)
@@ -275,6 +397,16 @@ class TestZMatrix:
         g = Cyclic(100)
         with pytest.raises(ResourceCapError):
             build_zmatrix(gset(g, [0]), order_cap=50)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_caps_below_one_rejected(self, cap):
+        a = gset(Cyclic(5), [0, 1])
+        with pytest.raises(ParameterError):
+            build_zmatrix(a, order_cap=cap)
+        with pytest.raises(ParameterError):
+            check_kgh_params(a.group, 2, 2, subset_cap=cap)
+        with pytest.raises(ParameterError):
+            check_kgh_free(build_zmatrix(a), 2, 2, subset_cap=cap)
 
     @given(small_group_set())
     @example(gset(Product(2, 2), [(0, 1), (1, 0)]))
