@@ -18,9 +18,18 @@ import math
 
 from .bounds import sample_density
 from .errors import ParameterError, ResourceCapError, RetryExhaustedError
-from .fields import DEFAULT_FIELD_CAP, ext_field, is_prime, iter_field, norm, quadratic_character
+from .fields import (
+    DEFAULT_FIELD_CAP,
+    ext_field,
+    ext_mul,
+    ext_pow,
+    is_prime,
+    norm,
+    primitive_element,
+    quadratic_character,
+)
 from .groups import GSet, Interval, Product, enumerate_pattern_classes, gset
-from .rng import SplitMix64
+from .rng import SplitMix64, bernoulli_indices
 from .verify import find_disjoint_translates, verify_weak_chg
 
 DEFAULT_SPHERE_CAP = 2**20  # on p^3
@@ -72,14 +81,26 @@ def norm_set(q: int, h: int, max_order: int = DEFAULT_FIELD_CAP):
     """Norm-1 elements of F_{q^h} as a subset of Z_q^h.
 
     Returns (set, g) with g = h! + 1: no h-pattern admits more than h!
-    offsets inside the set, so it is C_h[h!+1].  The size is exactly
-    (q^h - 1)/(q - 1) (asserted).
+    offsets inside the set, so it is C_h[h!+1].  The norm-1 elements are
+    the cyclic subgroup generated by step = gamma^(q-1) for a primitive
+    gamma, so they are collected by walking the powers of step, one field
+    multiplication each.  The walk must return to 1 after (q^h - 1)/(q - 1)
+    steps and meet that many distinct elements, so step has exactly that
+    order, which is also the size (both asserted).
     """
     field = ext_field(q, h, cap=max_order)
-    # the polynomial-basis coefficient vector is the additive image in Z_q^h
-    elems = [x for x in iter_field(field) if norm(field, x) == 1]
-    result = gset(Product(q, h), elems)
+    step = ext_pow(field, primitive_element(field), q - 1)
+    if norm(field, step) != 1:
+        raise RuntimeError(f"gamma^(q-1) has norm != 1 in F_{q}^{h} (broken modulus?)")
     expected = (q**h - 1) // (q - 1)
+    # the polynomial-basis coefficient vector is the additive image in Z_q^h
+    elems, x = [], field.one()
+    for _ in range(expected):
+        elems.append(x)
+        x = ext_mul(field, x, step)
+    if x != field.one():
+        raise RuntimeError(f"norm-1 walk in F_{q}^{h} did not return to 1 after {expected} steps")
+    result = gset(Product(q, h), elems)
     if len(result) != expected:
         raise RuntimeError(f"norm-1 count {len(result)} != {expected} in F_{q}^{h}")
     return result, math.factorial(h) + 1
@@ -195,22 +216,23 @@ def weak_random_set(
     size n.
 
     Each attempt samples S by including every element independently with
-    the density from ``sample_density``, removes the bad elements, and
-    accepts when |S| >= np/2 and |bad| <= np/4 (so the survivor count
-    exceeds np/4).  One child stream per attempt keeps results independent
-    of scheduling.  Returns (set, attempts_used, (|S|, |bad|, |result|));
-    raises RetryExhaustedError with per-attempt statistics if no attempt
-    is accepted.
+    the density p from ``sample_density`` (geometric skips between kept
+    elements, about np draws), removes the bad elements, and accepts when
+    |S| >= np/2 and |bad| <= np/4 (so the survivor count exceeds np/4).
+    Attempt k samples from a child stream seeded by the master stream's
+    k-th output, drawn as the attempt starts, so results are independent of
+    scheduling and of ``max_attempts``.  Returns (set, attempts_used,
+    (|S|, |bad|, |result|)); raises RetryExhaustedError with per-attempt
+    statistics if no attempt is accepted.
     """
     if max_attempts < 1:
         raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
     p, np_target = sample_density(n, h, g)
     master = SplitMix64(seed)
-    attempt_seeds = [master.next_uint64() for _ in range(max_attempts)]
     failures = []
-    for attempt, child_seed in enumerate(attempt_seeds):
-        stream = SplitMix64(child_seed)
-        sample = gset(Interval(n), [i for i in range(n) if stream.uniform() < p])
+    for attempt in range(max_attempts):
+        stream = SplitMix64(master.next_uint64())
+        sample = gset(Interval(n), bernoulli_indices(stream, n, p))
         bad = detect_bad(sample, h, g)
         if len(sample) >= np_target / 2 and len(bad) <= np_target / 4:
             survivors = gset(Interval(n), sorted(set(sample.elems) - set(bad.elems)))

@@ -6,8 +6,13 @@ term first.  The defining modulus is the lexicographically smallest monic
 irreducible polynomial of degree h, found by exhaustive testing, so every
 run builds the identical field.
 
-The norm map N(x) = x^{1+q+...+q^{h-1}} lands in the base field and is
-computed by square-and-multiply on the explicit exponent.
+The norm map N(x) = x^{1+q+...+q^{h-1}} lands in the base field; ``norm``
+evaluates it by square-and-multiply on the explicit exponent and serves as
+the definition-level check.  The norm-1 elements form the cyclic subgroup
+generated by gamma^(q-1) for any primitive gamma (Lidl & Niederreiter,
+*Finite Fields*, Thm 2.18), so the norm construction walks that subgroup
+from ``primitive_element`` with one multiplication per element instead of
+evaluating the norm everywhere.
 """
 
 from __future__ import annotations
@@ -46,6 +51,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, ascending, by trial division
+    (enough for field orders under ``DEFAULT_FIELD_CAP``)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def quadratic_character(p: int, a: int) -> int:
@@ -217,9 +238,22 @@ def ext_pow(field: ExtField, a, e: int):
 
 
 def iter_field(field: ExtField):
-    """All q^h elements, constant term varying fastest."""
+    """All q^h elements, lexicographic on coefficient tuples (the t^(h-1)
+    coefficient varies fastest)."""
     for coeffs in iter_product(range(field.q), repeat=field.h):
         yield coeffs
+
+
+def primitive_element(field: ExtField):
+    """The first generator of the multiplicative group in ``iter_field``
+    order: x != 0 with x^((q^h - 1)/r) != 1 for every prime r | q^h - 1."""
+    order = field.size - 1
+    cofactors = [order // r for r in _prime_factors(order)]
+    one = field.one()
+    for x in iter_field(field):
+        if any(x) and all(ext_pow(field, x, e) != one for e in cofactors):
+            return x
+    raise RuntimeError(f"F_{field.q}^{field.h} has no primitive element (broken modulus?)")
 
 
 def norm(field: ExtField, x) -> int:

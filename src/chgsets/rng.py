@@ -5,10 +5,15 @@ run is reproducible from a single 64-bit seed, independent of Python version
 and platform.  Child streams (one per retry attempt, say) are seeded from
 consecutive outputs of the parent stream, so results never depend on how
 attempts are scheduled.
+
+Version 2 samples Bernoulli subsets by geometric skips (``bernoulli_indices``)
+instead of one draw per position, so version-1 seeds give other weak sets.
 """
 
+import math
+
 RNG_NAME = "splitmix64"
-RNG_VERSION = "1"
+RNG_VERSION = "2"
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -30,3 +35,27 @@ class SplitMix64:
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
+
+
+def bernoulli_indices(stream, n: int, p: float) -> list:
+    """The indices in [0, n) that an i.i.d. Bernoulli(p) process keeps,
+    ascending, drawn from ``stream`` by geometric skips.
+
+    The gap before the next kept index is floor(log U / log(1 - p)) with
+    U = 1 - uniform() in (0, 1], so a zero draw keeps the next index and
+    never reaches log(0) (Devroye, *Non-Uniform Random Variate Generation*,
+    ch. X.2).  That costs about np + 1 draws instead of n.
+    """
+    if p >= 1.0:
+        return list(range(n))
+    if p <= 0.0:
+        return []
+    log_q = math.log1p(-p)
+    kept = []
+    i = -1
+    while True:
+        skip = math.log(1.0 - stream.uniform()) / log_q
+        if skip >= n - 1 - i:  # compared as a float, so a huge skip never overflows int()
+            return kept
+        i += 1 + int(skip)
+        kept.append(i)

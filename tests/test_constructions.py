@@ -7,11 +7,16 @@ from chgsets import (
     Product,
     ResourceCapError,
     RetryExhaustedError,
+    constructions,
     detect_bad,
     embedded_c33,
+    ext_field,
     freiman_embed,
     gset,
+    is_prime,
+    iter_field,
     largest_prime_cube_fit,
+    norm,
     norm_set,
     quadratic_character,
     rewindow,
@@ -22,7 +27,14 @@ from chgsets import (
     verify_weak_chg,
     weak_random_set,
 )
+from chgsets.fields import DEFAULT_FIELD_CAP
 from oracles import naive_bad_elements
+
+# every (q, h) with q prime, h >= 2 and q^h under the default field cap
+FIELD_PAIRS = [
+    (q, h) for q in range(2, 65) if is_prime(q)
+    for h in range(2, 13) if q**h <= DEFAULT_FIELD_CAP
+]
 
 
 class TestSphereAlpha:
@@ -93,6 +105,13 @@ class TestNormSet:
     def test_full_multiplicative_group_when_exponent_is_order(self):
         a, _ = norm_set(2, 3)
         assert len(a) == 7  # exponent 1+2+4 is the whole group order
+
+    @pytest.mark.parametrize("q,h", FIELD_PAIRS, ids=[f"{q}^{h}" for q, h in FIELD_PAIRS])
+    def test_walk_matches_definition(self, q, h):
+        # the subgroup walk against the norm map evaluated on every element
+        field = ext_field(q, h)
+        a, _ = norm_set(q, h)
+        assert list(a.elems) == sorted(x for x in iter_field(field) if norm(field, x) == 1)
 
 
 class TestFreimanEmbed:
@@ -277,3 +296,25 @@ class TestWeakRandomSet:
     def test_bad_params(self):
         with pytest.raises(ParameterError):
             weak_random_set(100, 2, 2, seed=1, max_attempts=0)
+
+    def test_attempt_seeds_drawn_lazily(self, monkeypatch):
+        # the master stream is the first one built; it should give one child
+        # seed per attempt actually run, not one per allowed attempt
+        draws = []
+
+        class Counting(constructions.SplitMix64):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.index = len(draws)
+                draws.append(0)
+
+            def next_uint64(self):
+                draws[self.index] += 1
+                return super().next_uint64()
+
+        monkeypatch.setattr(constructions, "SplitMix64", Counting)
+        result, attempts, _ = weak_random_set(20000, 2, 2, seed=7, max_attempts=1000)
+        assert attempts == 1
+        assert draws[0] == 1
+        monkeypatch.undo()
+        assert weak_random_set(20000, 2, 2, seed=7)[0].elems == result.elems

@@ -14,6 +14,7 @@ from chgsets import (
     norm,
     quadratic_character,
 )
+from chgsets.fields import _prime_factors, primitive_element
 
 F4 = ext_field(2, 2)
 F9 = ext_field(3, 2)
@@ -104,6 +105,30 @@ class TestNorm:
         field = ext_field(q, h)
         images = {norm(field, x) for x in iter_field(field)}
         assert images == set(range(q))
+
+
+class TestPrimitiveElement:
+    def test_prime_factors(self):
+        assert _prime_factors(1) == []
+        assert _prime_factors(4095) == [3, 5, 7, 13]
+        assert _prime_factors(2**11 - 1) == [23, 89]
+        assert _prime_factors(3**7 - 1) == [2, 1093]
+
+    @pytest.mark.parametrize("q,h", [(2, 2), (2, 5), (3, 3), (5, 2), (7, 3), (2, 12), (61, 2)])
+    def test_order_is_full(self, q, h):
+        # walk the powers of gamma back to 1: the order must be q^h - 1
+        field = ext_field(q, h)
+        gamma = primitive_element(field)
+        x, k = gamma, 1
+        while x != field.one():
+            x = ext_mul(field, x, gamma)
+            k += 1
+        assert k == q**h - 1
+
+    def test_first_in_scan_order(self):
+        # in F_9 = F_3[t]/(t^2 + 1) the scan meets t and 2t (order 4 each)
+        # and 1 before 1 + t, the first element of order 8
+        assert primitive_element(F9) == (1, 1)
 
 
 class TestAdditiveCoords:
