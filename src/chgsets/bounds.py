@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import ParameterError, check_hg
+from .errors import ParameterError, Value, check_hg
 
 
 def main_term_bound(n: int, h: int, g: int) -> float:
@@ -105,20 +104,12 @@ def counting_ratio(counts, h: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """All bound columns for one (n, h, g), plus the optional matrix bound."""
 
-    n: int
-    h: int
-    g: int
-    main_term: float
-    main_term_error_order: str
-    group: float
-    weak_lower: float
-    density_p: float
-    density_np: float
-    zarankiewicz: float | None = None
+    __slots__ = ("n", "h", "g", "main_term", "main_term_error_order", "group", "weak_lower",
+                 "density_p", "density_np", "zarankiewicz")
+    _defaults = {"zarankiewicz": None}
 
     @classmethod
     def compute(cls, n, h, g, m=None, s=None, t=None) -> "BoundReport":

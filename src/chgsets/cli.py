@@ -7,30 +7,31 @@ reruns with identical parameters (and seed) are byte-identical apart from
 output; witness patterns are translation shapes and are never shifted.
 
 Exit codes: 0 success, 2 verification failure, 3 resource cap exceeded,
-4 parameter error, 5 retry exhaustion.
+4 parameter error (a usage error included), 5 retry exhaustion.
+
+The modules only some subcommands need (bounds, constructions, fields,
+search, csv) load inside those subcommands, so each run pays start-up only
+for the code it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
+from importlib import import_module
 
 from . import __version__
-from .bounds import BoundReport, group_bound, main_term_bound
-from .constructions import (
+from .errors import (
     DEFAULT_MAX_ATTEMPTS,
-    embedded_c33,
-    freiman_embed,
-    norm_set,
-    rewindow,
-    sphere_set,
-    weak_random_set,
+    DEFAULT_NODE_CAP,
+    ParameterError,
+    ResourceCapError,
+    RetryExhaustedError,
+    check_cap,
 )
-from .errors import ParameterError, ResourceCapError, RetryExhaustedError, check_cap
 from .groups import GSet, Interval, Product
 from .rng import RNG_NAME, RNG_VERSION
 from .setio import group_to_string, read_set, write_pbm, write_set, zmatrix_summary
@@ -44,7 +45,36 @@ from .verify import (
     verify_chg,
     verify_weak_chg,
 )
-from .search import DEFAULT_NODE_CAP, greedy_chg, max_table
+
+# Names only some subcommands need, by home module.  A handler loads them
+# with ``_load`` and calls them as globals of this module, and a module
+# attribute lookup loads them too (``__getattr__``), so whoever replaces one
+# of these names here replaces the function the handlers call.
+_LAZY = {
+    "bounds": ("BoundReport", "group_bound", "main_term_bound"),
+    "constructions": ("embedded_c33", "freiman_embed", "norm_set", "rewindow", "sphere_set",
+                      "weak_random_set"),
+    "search": ("greedy_chg", "max_table"),
+}
+_HOME = {name: home for home, names in _LAZY.items() for name in names}
+
+
+def _load(*homes) -> None:
+    """Bind the lazy names of ``homes`` here, keeping any already bound."""
+    bound = globals()
+    for home in homes:
+        module = import_module(f".{home}", __package__)
+        for name in _LAZY[home]:
+            bound.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(home)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
@@ -107,6 +137,7 @@ def _auto_verify(gs: GSet, h: int, g: int, cap: int) -> Verdict | None:
 
 def _cmd_construct_sphere(args) -> int:
     started = time.monotonic()
+    _load("bounds", "constructions")
     check_cap("subset cap", args.subset_cap)
     if args.embed is None and args.p is None:
         raise ParameterError("construct sphere needs --p, --embed, or both")
@@ -139,6 +170,7 @@ def _cmd_construct_sphere(args) -> int:
 
 def _cmd_construct_norm(args) -> int:
     started = time.monotonic()
+    _load("bounds", "constructions")
     check_cap("subset cap", args.subset_cap)
     gs, guarantee = norm_set(args.q, args.h)
     if args.embed:
@@ -164,6 +196,7 @@ def _cmd_construct_norm(args) -> int:
 
 def _cmd_construct_weak(args) -> int:
     started = time.monotonic()
+    _load("bounds", "constructions")
     check_cap("subset cap", args.subset_cap)
     gs, attempts, sizes = weak_random_set(
         args.n, args.h, args.g, args.seed, max_attempts=args.max_attempts
@@ -209,6 +242,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     started = time.monotonic()
+    _load("bounds", "search")
     results = max_table(args.n_max, args.h, args.g, node_cap=args.node_cap)
     rows = []
     for res in results:
@@ -222,6 +256,8 @@ def _cmd_search(args) -> int:
             "bound_main_term": main_term_bound(res.n, args.h, args.g),
         })
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()
@@ -263,6 +299,7 @@ def _cmd_zmatrix(args) -> int:
 
 def _cmd_bounds(args) -> int:
     started = time.monotonic()
+    _load("bounds")
     report = BoundReport.compute(args.n, args.h, args.g, m=args.m, s=args.s, t=args.t)
     cols = {
         "main_term": report.main_term,
@@ -283,8 +320,17 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the parameter-error
+    code; the usage message still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARAMETER, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chgsets",
         description="Construct, verify, and search generalized Sidon (C_h[g]) sets.",
     )
@@ -339,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     searchp.add_argument("--g", type=int, required=True)
     searchp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     searchp.add_argument("--csv", default=None, help="also write the table as CSV")
-    common(searchp)
     searchp.set_defaults(func=_cmd_search)
 
     zmatrixp = sub.add_parser("zmatrix", help="sum matrix and K_{g,h}-freeness")
@@ -358,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     boundsp.add_argument("--m", type=int, default=None)
     boundsp.add_argument("--s", type=int, default=None)
     boundsp.add_argument("--t", type=int, default=None)
-    common(boundsp)
     boundsp.set_defaults(func=_cmd_bounds)
 
     return parser

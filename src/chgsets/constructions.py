@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .bounds import sample_density
-from .errors import ParameterError, ResourceCapError, RetryExhaustedError
+from .errors import DEFAULT_MAX_ATTEMPTS, ParameterError, ResourceCapError, RetryExhaustedError
 from .fields import (
     DEFAULT_FIELD_CAP,
     ext_field,
@@ -33,7 +33,6 @@ from .rng import SplitMix64, bernoulli_indices
 from .verify import find_disjoint_translates, verify_weak_chg
 
 DEFAULT_SPHERE_CAP = 2**20  # on p^3
-DEFAULT_MAX_ATTEMPTS = 64
 
 
 def sphere_alpha(p: int) -> int:

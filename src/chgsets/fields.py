@@ -17,11 +17,10 @@ evaluating the norm everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .errors import ParameterError, ResourceCapError
+from .errors import ParameterError, ResourceCapError, Value
 
 DEFAULT_FIELD_CAP = 4096
 
@@ -176,15 +175,12 @@ def find_irreducible(q: int, h: int, cap: int = DEFAULT_FIELD_CAP) -> tuple:
     raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
-@dataclass(frozen=True)
-class ExtField:
+class ExtField(Value):
     """F_{q^h} = F_q[t] / (modulus); modulus is monic irreducible of degree h."""
 
-    q: int
-    h: int
-    modulus: tuple
+    __slots__ = ("q", "h", "modulus")
 
-    def __post_init__(self):
+    def _validate(self):
         if not is_prime(self.q):
             raise ParameterError(f"base {self.q} is not prime")
         if self.h < 2:
@@ -214,11 +210,6 @@ def ext_field(q: int, h: int, cap: int = DEFAULT_FIELD_CAP) -> ExtField:
 
 def _pad(field, coeffs):
     return tuple(coeffs) + (0,) * (field.h - len(coeffs))
-
-
-def ext_add(field: ExtField, a, b):
-    q = field.q
-    return tuple((x + y) % q for x, y in zip(a, b))
 
 
 def ext_mul(field: ExtField, a, b):

@@ -31,41 +31,38 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, product as iter_product
 
-from .errors import ParameterError
+from .errors import ParameterError, Value
 
 Elem = int | tuple
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Cyclic:
+
+class Cyclic(Value):
     """The cyclic group Z_n, elements 0..n-1."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 1:
             raise ParameterError(f"cyclic order must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Value):
     """The direct product Z_q^d, elements are d-tuples of residues mod q."""
 
-    q: int
-    d: int
+    __slots__ = ("q", "d")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.q < 2:
             raise ParameterError(f"product modulus must be >= 2, got {self.q}")
         if self.d < 1:
             raise ParameterError(f"product dimension must be >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """The integer window of size n inside Z, stored 0-based.
 
     Not a group: addition is ordinary integer addition and may leave the
@@ -73,9 +70,9 @@ class Interval:
     operations that promise containment in [0, n) assert it themselves.
     """
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 1:
             raise ParameterError(f"interval size must be >= 1, got {self.n}")
 
@@ -166,12 +163,16 @@ def iter_elements(group):
     return iter(range(group.n))
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(Value):
     """A finite, sorted, duplicate-free set of elements of one ambient space."""
 
-    group: object
-    elems: tuple
+    __slots__ = ("group", "elems")
+
+    def __init__(self, group, elems):
+        # the class kernel builds two values per class: bind the fields
+        # directly rather than through the generic constructor
+        _set(self, "group", group)
+        _set(self, "elems", elems)
 
     def __len__(self):
         return len(self.elems)
@@ -193,19 +194,6 @@ def _gset_unchecked(group, sorted_elems) -> GSet:
     return GSet(group, tuple(sorted_elems))
 
 
-def translate(xs: GSet, k) -> GSet:
-    """The translate {x + k : x in X}; cardinality is always preserved.
-
-    Interval translates may leave the window, which is why the result skips
-    range validation for that kind.
-    """
-    group = xs.group
-    shifted = sorted(add(group, x, k) for x in xs.elems)
-    if len(set(shifted)) != len(xs.elems):
-        raise ParameterError(f"translation by {k!r} collapsed elements in {group}")
-    return _gset_unchecked(group, shifted)
-
-
 def canonicalize(xs: GSet):
     """Canonical representative of the translation class of X.
 
@@ -221,17 +209,6 @@ def canonicalize(xs: GSet):
     return _gset_unchecked(group, tuple(elem_from_key(group, k) for k in keys)), shift
 
 
-def stabilizer(group, pattern):
-    """All t with pattern + t = pattern (pattern must contain zero).
-
-    Trivial for intervals and for any aperiodic pattern; for group kinds a
-    nontrivial stabilizer means the pattern is a union of cosets of the
-    subgroup it generates.
-    """
-    pset = set(pattern)
-    return [t for t in pattern if all(add(group, x, t) in pset for x in pattern)]
-
-
 def stabilizer_bound(group, h: int) -> int:
     """Largest possible stabilizer of an h-element pattern: 1 in Z, and
     gcd(h, |G|) in a group, since a stabilizer is a subgroup whose cosets
@@ -241,8 +218,7 @@ def stabilizer_bound(group, h: int) -> int:
     return math.gcd(h, order(group))
 
 
-@dataclass(frozen=True)
-class PatternClass:
+class PatternClass(Value):
     """A translation class of h-subsets inside a host set.
 
     ``pattern`` is the canonical representative; ``bases`` is the full,
@@ -251,8 +227,11 @@ class PatternClass:
     has several offsets per member).
     """
 
-    pattern: GSet
-    bases: tuple
+    __slots__ = ("pattern", "bases")
+
+    def __init__(self, pattern, bases):
+        _set(self, "pattern", pattern)
+        _set(self, "bases", bases)
 
 
 def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:

@@ -22,13 +22,11 @@ n stops as soon as it finds a set of that size, and the row stays optimal.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
-from .errors import ParameterError, check_cap, check_hg
+from .errors import DEFAULT_NODE_CAP, ParameterError, Value, check_cap, check_hg
 from .groups import GSet, Interval, gset
 from .verify import verify_chg
 
-DEFAULT_NODE_CAP = 10**9
 DEFAULT_N_LIMITS = {2: 40, 3: 24}
 _FALLBACK_N_LIMIT = 16
 
@@ -41,15 +39,11 @@ class _CeilingReached(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    n: int
-    h: int
-    g: int
-    best_size: int
-    best_set: GSet
-    nodes_explored: int
-    optimal: bool
+class SearchResult(Value):
+    """The best set found for one window, the nodes explored, and whether
+    the search ran to completion."""
+
+    __slots__ = ("n", "h", "g", "best_size", "best_set", "nodes_explored", "optimal")
 
 
 def _check_params(n: int, h: int, g: int, n_limit, node_cap: int) -> None:

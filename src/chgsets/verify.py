@@ -13,10 +13,9 @@ approximate; a cap below 1 is a ``ParameterError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParameterError, ResourceCapError, check_cap, check_hg
+from .errors import ParameterError, ResourceCapError, Value, check_cap, check_hg
 from .groups import (
     Cyclic,
     GSet,
@@ -35,19 +34,18 @@ DEFAULT_SUBSET_CAP = 10**8
 DEFAULT_ORDER_CAP = 512
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """A concrete violation: pattern plus g offsets whose translates all
     land inside the verified set (pairwise disjoint for the weak check)."""
 
-    pattern: GSet
-    bases: tuple
+    __slots__ = ("pattern", "bases")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    witness: Witness | None = None
+class Verdict(Value):
+    """Whether the property holds, and a ``Witness`` when it does not."""
+
+    __slots__ = ("holds", "witness")
+    _defaults = {"witness": None}
 
 
 def _cap_check(size: int, h: int, subset_cap: int) -> None:
@@ -123,15 +121,11 @@ def verify_weak_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBS
 # Zarankiewicz matrix correspondence
 
 
-@dataclass(frozen=True)
-class ZMatrix:
+class ZMatrix(Value):
     """The n x n 0-1 matrix with a 1 at (i, j) iff b_i + b_j lies in the
     generating set; rows are stored as integer bitmasks (bit j = column j)."""
 
-    n: int
-    rows: tuple
-    elements: tuple
-    source: GSet
+    __slots__ = ("n", "rows", "elements", "source")
 
 
 def _require_group(group) -> None:

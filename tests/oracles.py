@@ -10,7 +10,24 @@ window of the set.
 
 from itertools import combinations
 
-from chgsets import Interval, add, gset, iter_elements
+from chgsets import GSet, Interval, add, gset, iter_elements
+
+
+def translate(xs, k):
+    """The translate {x + k : x in X} in the ambient of X.
+
+    Interval translates may leave the window, so the result is not range
+    checked; translation never collapses elements.
+    """
+    shifted = sorted(add(xs.group, x, k) for x in xs.elems)
+    assert len(set(shifted)) == len(shifted)
+    return GSet(xs.group, tuple(shifted))
+
+
+def stabilizer(group, pattern):
+    """All t with pattern + t = pattern (the pattern must contain zero)."""
+    pset = set(pattern)
+    return [t for t in pattern if all(add(group, x, t) in pset for x in pattern)]
 
 
 def _interval_mask(elems):

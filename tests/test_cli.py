@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from chgsets import norm_set, write_set
 from chgsets.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -310,7 +313,7 @@ class TestTracedSites:
     def test_every_site_resolves(self):
         # the benchmark's traced run swaps these import sites for timing
         # wrappers; a site that a refactor drops breaks that run
-        path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        path = ROOT / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = tracing  # dataclasses look their module up
@@ -322,3 +325,103 @@ class TestTracedSites:
             site = importlib.import_module(f"chgsets.{module}")
             home, _, func = name.partition(".")
             assert getattr(site, attr) is getattr(importlib.import_module(f"chgsets.{home}"), func)
+
+    @pytest.mark.parametrize("name,argv", [
+        ("norm_set", ("construct", "norm", "--q", "3", "--h", "2")),
+        ("max_table", ("search", "--n-max", "4", "--h", "2", "--g", "2")),
+        ("verify_chg", ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "2", "--g", "2")),
+    ])
+    def test_handlers_call_the_swapped_name(self, capsys, monkeypatch, name, argv):
+        # a name the handlers load on demand must not be re-bound over a
+        # replacement, or the traced run stops timing it
+        import chgsets.cli
+
+        real = getattr(chgsets.cli, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chgsets.cli, name, spy)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 2)
+        assert calls
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "two", "--g", "2"),
+        ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "2"),
+        ("search", "--n-max", "5", "--h", "2", "--g", "2", "--subset-cap", "0"),
+        ("bounds", "--n", "100", "--h", "2", "--g", "2", "--subset-cap", "5"),
+        ("frobnicate",),
+        (),
+    ])
+    def test_exit_four_with_usage_on_stderr(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage: chgsets")
+        assert "error:" in out.err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: chgsets")
+
+
+class TestLazyLoading:
+    # runs one command in a fresh interpreter and lists the modules it loaded
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "startup = set(sys.modules)\n"
+        "from chgsets.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - startup)]))\n"
+    )
+    UNUSED = ("chgsets.bounds", "chgsets.constructions", "chgsets.fields", "chgsets.search",
+              "csv", "dataclasses")
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "2", "--g", "2"), 2),
+        (("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "3", "--g", "3", "--weak"), 0),
+        (("zmatrix", "--set", "{norm}", "--g", "3", "--h", "2"), 0),
+    ])
+    def test_verify_and_zmatrix_load_only_what_they_run(self, tmp_path, argv, expected):
+        norm = tmp_path / "norm.txt"
+        write_set(norm, norm_set(3, 2)[0])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *(a.format(norm=norm) for a in argv)],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        code, loaded = json.loads(proc.stdout)
+        assert code == expected
+        assert "chgsets.verify" in loaded
+        assert not set(self.UNUSED) & set(loaded)
+
+    def test_every_export_imports_from_the_package(self):
+        import chgsets
+
+        namespace = {}
+        exec("from chgsets import *", namespace)
+        for name in chgsets.__all__:
+            assert namespace[name] is getattr(chgsets, name)
+        assert sorted(dir(chgsets)) == sorted(chgsets.__all__)
+        with pytest.raises(AttributeError):
+            chgsets.no_such_name
+
+    def test_readme_library_section_runs(self):
+        # every name the README's Library section uses imports from chgsets
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        example = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(example, "README.md", "exec"), {})

@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 from chgsets import (
     ExtField,
     ParameterError,
+    Product,
     ResourceCapError,
-    ext_add,
+    add,
     ext_field,
     ext_mul,
     find_irreducible,
@@ -15,6 +16,12 @@ from chgsets import (
     quadratic_character,
 )
 from chgsets.fields import _prime_factors, primitive_element
+
+
+def ext_add(field, a, b):
+    # field addition is the addition of Z_q^h on the coefficient vectors
+    return add(Product(field.q, field.h), a, b)
+
 
 F4 = ext_field(2, 2)
 F9 = ext_field(3, 2)

@@ -16,11 +16,10 @@ from chgsets import (
     gset,
     iter_elements,
     order,
-    stabilizer,
     sub,
-    translate,
     zero,
 )
+from oracles import stabilizer, translate
 
 
 def groups_strategy():
