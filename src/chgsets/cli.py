@@ -9,9 +9,10 @@ output; witness patterns are translation shapes and are never shifted.
 Exit codes: 0 success, 2 verification failure, 3 resource cap exceeded,
 4 parameter error (a usage error included), 5 retry exhaustion.
 
-The modules only some subcommands need (bounds, constructions, fields,
-search, csv) load inside those subcommands, so each run pays start-up only
-for the code it runs.
+Only errors and rng load at start-up.  groups, setio and verify load inside
+the subcommands that handle a set, and bounds, constructions, fields, search
+and csv inside those that use them, so each run pays start-up only for the
+code it runs: ``--help`` loads nothing more, ``bounds`` only bounds.
 """
 
 from __future__ import annotations
@@ -27,24 +28,14 @@ from . import __version__
 from .errors import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_NODE_CAP,
+    DEFAULT_ORDER_CAP,
+    DEFAULT_SUBSET_CAP,
     ParameterError,
     ResourceCapError,
     RetryExhaustedError,
     check_cap,
 )
-from .groups import GSet, Interval, Product
 from .rng import RNG_NAME, RNG_VERSION
-from .setio import group_to_string, read_set, write_pbm, write_set, zmatrix_summary
-from .verify import (
-    DEFAULT_ORDER_CAP,
-    DEFAULT_SUBSET_CAP,
-    Verdict,
-    build_zmatrix,
-    check_kgh_free,
-    check_kgh_params,
-    verify_chg,
-    verify_weak_chg,
-)
 
 # Names only some subcommands need, by home module.  A handler loads them
 # with ``_load`` and calls them as globals of this module, and a module
@@ -54,9 +45,15 @@ _LAZY = {
     "bounds": ("BoundReport", "group_bound", "main_term_bound"),
     "constructions": ("embedded_c33", "freiman_embed", "norm_set", "rewindow", "sphere_set",
                       "weak_random_set"),
+    "groups": ("Interval", "Product"),
     "search": ("greedy_chg", "max_table"),
+    "setio": ("group_to_string", "read_set", "write_pbm", "write_set", "zmatrix_summary"),
+    "verify": ("build_zmatrix", "check_kgh_free", "check_kgh_params", "verify_chg",
+               "verify_weak_chg"),
 }
 _HOME = {name: home for home, names in _LAZY.items() for name in names}
+# what every command that reads or writes a set runs
+_SETS = ("groups", "setio", "verify")
 
 
 def _load(*homes) -> None:
@@ -93,7 +90,7 @@ def _elem_out(group, e):
     return e
 
 
-def _verdict_out(group, verdict: Verdict | None):
+def _verdict_out(group, verdict):
     if verdict is None:
         return None
     out = {"holds": verdict.holds}
@@ -129,7 +126,7 @@ def _emit(report) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _auto_verify(gs: GSet, h: int, g: int, cap: int) -> Verdict | None:
+def _auto_verify(gs, h: int, g: int, cap: int):
     if math.comb(len(gs), h) > cap:
         return None
     return verify_chg(gs, h, g, subset_cap=cap)
@@ -137,7 +134,7 @@ def _auto_verify(gs: GSet, h: int, g: int, cap: int) -> Verdict | None:
 
 def _cmd_construct_sphere(args) -> int:
     started = time.monotonic()
-    _load("bounds", "constructions")
+    _load("bounds", "constructions", *_SETS)
     check_cap("subset cap", args.subset_cap)
     if args.embed is None and args.p is None:
         raise ParameterError("construct sphere needs --p, --embed, or both")
@@ -170,7 +167,7 @@ def _cmd_construct_sphere(args) -> int:
 
 def _cmd_construct_norm(args) -> int:
     started = time.monotonic()
-    _load("bounds", "constructions")
+    _load("bounds", "constructions", *_SETS)
     check_cap("subset cap", args.subset_cap)
     gs, guarantee = norm_set(args.q, args.h)
     if args.embed:
@@ -196,7 +193,7 @@ def _cmd_construct_norm(args) -> int:
 
 def _cmd_construct_weak(args) -> int:
     started = time.monotonic()
-    _load("bounds", "constructions")
+    _load("bounds", "constructions", *_SETS)
     check_cap("subset cap", args.subset_cap)
     gs, attempts, sizes = weak_random_set(
         args.n, args.h, args.g, args.seed, max_attempts=args.max_attempts
@@ -226,6 +223,7 @@ def _cmd_construct_weak(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
+    _load(*_SETS)
     gs = read_set(args.set)
     checker = verify_weak_chg if args.weak else verify_chg
     verdict = checker(gs, args.h, args.g, subset_cap=args.subset_cap)
@@ -242,7 +240,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     started = time.monotonic()
-    _load("bounds", "search")
+    _load("bounds", "search", *_SETS)
     results = max_table(args.n_max, args.h, args.g, node_cap=args.node_cap)
     rows = []
     for res in results:
@@ -277,6 +275,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_zmatrix(args) -> int:
     started = time.monotonic()
+    _load(*_SETS)
     check_cap("order cap", args.order_cap)
     gs = read_set(args.set)
     check_kgh_params(gs.group, args.g, args.h, subset_cap=args.subset_cap)

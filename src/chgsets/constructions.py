@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product as iter_product
 
 from .bounds import sample_density
 from .errors import DEFAULT_MAX_ATTEMPTS, ParameterError, ResourceCapError, RetryExhaustedError
@@ -28,7 +29,16 @@ from .fields import (
     primitive_element,
     quadratic_character,
 )
-from .groups import GSet, Interval, Product, enumerate_pattern_classes, gset
+from .groups import (
+    GSet,
+    Interval,
+    Product,
+    elem_from_key,
+    elem_key,
+    enumerate_pattern_classes,
+    gset,
+    reduce_digits,
+)
 from .rng import SplitMix64, bernoulli_indices
 from .verify import find_disjoint_translates, verify_weak_chg
 
@@ -82,8 +92,9 @@ def norm_set(q: int, h: int, max_order: int = DEFAULT_FIELD_CAP):
     Returns (set, g) with g = h! + 1: no h-pattern admits more than h!
     offsets inside the set, so it is C_h[h!+1].  The norm-1 elements are
     the cyclic subgroup generated by step = gamma^(q-1) for a primitive
-    gamma, so they are collected by walking the powers of step, one field
-    multiplication each.  The walk must return to 1 after (q^h - 1)/(q - 1)
+    gamma, so they are collected by walking the powers of step, one
+    multiplication on packed keys each (``_packed_times``).  The walk must
+    return to 1 after (q^h - 1)/(q - 1)
     steps and meet that many distinct elements, so step has exactly that
     order, which is also the size (both asserted).
     """
@@ -93,16 +104,42 @@ def norm_set(q: int, h: int, max_order: int = DEFAULT_FIELD_CAP):
         raise RuntimeError(f"gamma^(q-1) has norm != 1 in F_{q}^{h} (broken modulus?)")
     expected = (q**h - 1) // (q - 1)
     # the polynomial-basis coefficient vector is the additive image in Z_q^h
-    elems, x = [], field.one()
+    group = Product(q, h)
+    times_step = _packed_times(field, group, step)
+    one = elem_key(group, field.one())
+    keys, x = [], one
     for _ in range(expected):
-        elems.append(x)
-        x = ext_mul(field, x, step)
-    if x != field.one():
+        keys.append(x)
+        x = times_step(x)
+    if x != one:
         raise RuntimeError(f"norm-1 walk in F_{q}^{h} did not return to 1 after {expected} steps")
-    result = gset(Product(q, h), elems)
+    result = gset(group, [elem_from_key(group, k) for k in keys])
     if len(result) != expected:
         raise RuntimeError(f"norm-1 count {len(result)} != {expected} in F_{q}^{h}")
     return result, math.factorial(h) + 1
+
+
+def _packed_times(field, group, y):
+    """x -> x * y on the packed keys (``elem_key`` in ``group`` = Z_q^h) of
+    coefficient vectors.  The map is F_q-linear, so x * y is the digitwise
+    sum of the images of x's leading and trailing digits, each read from a
+    table of at most q^ceil(h/2) products, brought back below q by
+    ``reduce_digits``."""
+    q, h = field.q, field.h
+    tail = h // 2
+    # the lowest leading digit's unit is 1 << split
+    split = elem_key(group, (0,) * (h - tail - 1) + (1,) + (0,) * tail).bit_length() - 1
+
+    def image(x):
+        return elem_key(group, ext_mul(field, x, y))
+
+    lead = {elem_key(group, x) >> split: image(x)
+            for x in (v + (0,) * tail for v in iter_product(range(q), repeat=h - tail))}
+    trail = {elem_key(group, x): image(x)
+             for x in ((0,) * (h - tail) + v for v in iter_product(range(q), repeat=tail))}
+    reduce = reduce_digits(group)
+    low = (1 << split) - 1
+    return lambda k: reduce([lead[k >> split] + trail[k & low]])[0]
 
 
 def freiman_embed(base: int, xs: GSet) -> GSet:

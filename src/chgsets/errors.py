@@ -3,6 +3,8 @@ shared across the package."""
 
 DEFAULT_MAX_ATTEMPTS = 64
 DEFAULT_NODE_CAP = 10**9
+DEFAULT_ORDER_CAP = 512
+DEFAULT_SUBSET_CAP = 10**8
 
 _set = object.__setattr__
 

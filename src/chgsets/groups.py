@@ -9,8 +9,10 @@ the business of whoever asked for the translate.
 Elements are plain ints (cyclic / interval) or d-tuples of ints (product),
 always reduced to canonical residues for the group kinds.  The natural
 Python ordering (numeric, or lexicographic on tuples) is the canonical
-element order, and ``elem_key`` provides an order-compatible mixed-radix
-integer encoding.
+element order, and ``elem_key`` provides an order-compatible integer
+encoding: a product element packs into b-bit digits with 2^(b-1) >= q, so
+``diff_rows`` and ``reduce_digits`` do digitwise arithmetic mod q on whole
+keys and rows of keys, never on tuples.
 
 ``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
 into translation classes; every verifier and the bad-element detection read
@@ -20,8 +22,10 @@ k + prefix inside the host.  Offsets only shrink as a pattern grows, so a
 prefix with fewer offsets than the wanted member count is pruned.  The first
 level comes from the difference table; deeper levels intersect offset rows
 kept as int bitmasks over the surviving differences, so the work and the
-memory follow the host's differences, never the size of the ambient.
-``canonicalize`` takes its minimum over the |X| candidate shifts directly.
+memory follow the host's differences, never the size of the ambient.  A
+caller that needs one witness (``stop``) ends the search at the first class
+with enough offsets.  ``canonicalize`` takes its minimum over the |X|
+candidate shifts directly.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, product as iter_product
 
 from .errors import ParameterError, Value
@@ -135,25 +140,60 @@ def sub(group, a, b):
     return a - b
 
 
+@lru_cache(maxsize=None)
+def _packing(q: int, d: int) -> tuple:
+    """Z_q^d packed: the digit width b, least with 2^(b-1) >= q so that a
+    digit below 2q fits, and q, 2^(b-1) - q and the top bit in every digit."""
+    b = (q - 1).bit_length() + 1
+    ones = sum(1 << b * i for i in range(d))
+    return b, q * ones, ((1 << b - 1) - q) * ones, ones << b - 1
+
+
 def elem_key(group, e) -> int:
-    """Order-compatible integer encoding (mixed radix, first coord most
-    significant for products; the value itself otherwise)."""
+    """Order-compatible integer encoding: for products the coordinates
+    packed into b-bit digits, first coordinate most significant (see
+    ``_packing``); the value itself otherwise."""
     if isinstance(group, Product):
+        b = _packing(group.q, group.d)[0]
         k = 0
         for c in e:
-            k = k * group.q + c
+            k = k << b | c
         return k
     return e
 
 
 def elem_from_key(group, k: int):
     if isinstance(group, Product):
-        coords = []
-        for _ in range(group.d):
-            k, r = divmod(k, group.q)
-            coords.append(r)
-        return tuple(reversed(coords))
+        b = _packing(group.q, group.d)[0]
+        mask = (1 << b) - 1
+        return tuple(k >> b * i & mask for i in range(group.d - 1, -1, -1))
     return k
+
+
+def reduce_digits(group):
+    """The map from words of the Product ``group`` whose digits are below
+    2q, such as digitwise sums of two keys, to the list of their keys mod q:
+    adding 2^(b-1) - q to a digit sets its top bit exactly when it is >= q,
+    so one masked add and one shift find every digit to take q off."""
+    q = group.q
+    b, _, lift, top = _packing(q, group.d)
+    shift = b - 1
+    return lambda words: [s - ((s + lift & top) >> shift) * q for s in words]
+
+
+def diff_rows(group, xkeys, ykeys) -> list:
+    """Row i holds the keys of y - x for the y keyed by ``ykeys``, x keyed
+    by ``xkeys[i]`` (signed y - x for intervals).  On Z_q^d each digit of
+    y + (q, ..., q) - x lies in [1, 2q), so the word needs no borrow and
+    ``reduce_digits`` brings a whole row of them below q (SIMD within a
+    register: Lamport, CACM 1975)."""
+    if isinstance(group, Product):
+        reduce, qs = reduce_digits(group), _packing(group.q, group.d)[1]
+        return [reduce(map((qs - x).__add__, ykeys)) for x in xkeys]
+    if isinstance(group, Cyclic):
+        n = group.n
+        return [[(y - x) % n for y in ykeys] for x in xkeys]
+    return [[y - x for y in ykeys] for x in xkeys]
 
 
 def iter_elements(group):
@@ -205,7 +245,9 @@ def canonicalize(xs: GSet):
     if not elems:
         raise ParameterError("cannot canonicalize an empty set")
     shifts = elems[:1] if isinstance(group, Interval) else elems
-    keys, shift = min((sorted(elem_key(group, sub(group, y, x)) for y in elems), x) for x in shifts)
+    keys = [elem_key(group, x) for x in elems]
+    rows = diff_rows(group, keys[: len(shifts)], keys)
+    keys, shift = min(zip(map(sorted, rows), shifts))
     return _gset_unchecked(group, tuple(elem_from_key(group, k) for k in keys)), shift
 
 
@@ -234,22 +276,43 @@ class PatternClass(Value):
         _set(self, "bases", bases)
 
 
-def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
+def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1,
+                              stop: int | None = None) -> list:
     """Translation classes of h-subsets of ``host`` with at least
     ``min_members`` member subsets, sorted by canonical pattern.
+
+    With ``stop``, the search ends at the first class with at least
+    ``stop`` offsets, which is then the last in the list: a caller that
+    wants one witness builds no class after it.
+    """
+    if h < 2:
+        raise ParameterError(f"pattern size h must be >= 2, got {h}")
+    classes = _pattern_classes(host, h, max(min_members, 1))
+    if stop is None:
+        return list(classes)
+    out = []
+    for pc in classes:
+        out.append(pc)
+        if len(pc.bases) >= stop:
+            break
+    return out
+
+
+def _pattern_classes(host: GSet, h: int, least: int):
+    """The classes of ``enumerate_pattern_classes``, yielded in pattern
+    order as the search finds them.
 
     A depth-first search over the zero-anchored patterns (0, d1, ..., d_{h-1}),
     d1 < ... < d_{h-1} in element-key order, so patterns come out in pattern
     order.  A node carries its offsets: the host elements k with
     k + prefix inside the host.  A pattern's offsets are a subset of its
     prefix's offsets and it has at least as many offsets as member subsets,
-    so a child that keeps fewer than ``min_members`` offsets is pruned
-    exactly.
+    so a child that keeps fewer than ``least`` offsets is pruned exactly.
 
-    Level 1 comes from the difference table: one count pass, then the
-    offsets of only the differences d that reach ``min_members``.  At h = 2
-    on group kinds the count pass keys each pair by its class, the smaller
-    of d and -d, so level 1 holds the classes themselves.  Deeper,
+    Level 1 comes from the difference table (``diff_rows``): one count
+    pass, then the offsets of only the differences d that reach ``least``.
+    At h = 2 on group kinds the count pass keys each pair by its class, the
+    smaller of d and -d, so level 1 holds the classes themselves.  Deeper,
     the row of an element k is an int bitmask over those differences (bit j
     set when k + d_j is in the host), built when a node first needs it;
     carry-save counters over a node's rows give the children with enough
@@ -262,13 +325,10 @@ def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
     lists every offset in ascending order; a pattern with a nontrivial
     stabilizer has several per member subset.
     """
-    if h < 2:
-        raise ParameterError(f"pattern size h must be >= 2, got {h}")
     group, elems = host.group, host.elems
     m = len(elems)
     if h > m:
-        return []
-    least = max(min_members, 1)
+        return
     interval = isinstance(group, Interval)
     if interval:
         # in Z a pattern's minimum is 0, so only the later elements count
@@ -279,7 +339,8 @@ def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
         level = map(diffs, range(m))
     else:
         # table[i][j] is the key of elems[j] - elems[i]; table[i][i] is 0
-        table = [[elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
+        keys = [elem_key(group, x) for x in elems]
+        table = diff_rows(group, keys, keys)
         diffs = table.__getitem__
         level = table
         if h == 2:
@@ -295,20 +356,19 @@ def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
         for d in wanted & diffs(i):
             offsets[d].append(i)
     origin = zero(group)
-    out = []
 
     def emit(digits, offs):
+        if h > 2 and not interval:
+            anchored = [0, *digits]
+            shifted = list(map(sorted, diff_rows(group, anchored, anchored)))
+            # P - p == P exactly when p is in the stabilizer
+            if min(shifted) < anchored or len(offs) // shifted.count(anchored) < least:
+                return None
         if isinstance(group, Product):
             pattern = (origin, *(elem_from_key(group, d) for d in digits))
         else:
             pattern = (origin, *digits)  # an int element is its own key
-        if h > 2 and not interval:
-            keys = [0, *digits]
-            shifted = [sorted(elem_key(group, sub(group, x, p)) for x in pattern) for p in pattern]
-            # P - p == P exactly when p is in the stabilizer
-            if min(shifted) < keys or len(offs) // shifted.count(keys) < least:
-                return
-        out.append(PatternClass(_gset_unchecked(group, pattern), tuple(map(elems.__getitem__, offs))))
+        return PatternClass(_gset_unchecked(group, pattern), tuple(map(elems.__getitem__, offs)))
 
     index = {d: j for j, d in enumerate(level1)}
     rows = [None] * m
@@ -330,14 +390,13 @@ def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1) -> list:
             above ^= low
             j = low.bit_length() - 1
             kids = [i for i in offs if rows[i] & low]
-            if len(digits) + 2 == h:
-                emit(digits + (level1[j],), kids)
-            else:
-                grow(digits + (level1[j],), kids, j)
+            if len(digits) + 2 < h:
+                yield from grow(digits + (level1[j],), kids, j)
+            elif pc := emit(digits + (level1[j],), kids):
+                yield pc
 
     for j, d in enumerate(level1):
-        if h == 2:
-            emit((d,), offsets[d])
+        if h > 2:
+            yield from grow((d,), offsets[d], j)
         else:
-            grow((d,), offsets[d], j)
-    return out
+            yield emit((d,), offsets[d])  # a pair class is never rejected

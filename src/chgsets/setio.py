@@ -111,9 +111,9 @@ def read_set(path) -> GSet:
 
 def pbm_text(zm) -> str:
     """Plain PBM (P1): 1 = black where the matrix has a one."""
-    lines = ["P1", f"{zm.n} {zm.n}"]
-    for row in zm.rows:
-        lines.append(" ".join("1" if row >> j & 1 else "0" for j in range(zm.n)))
+    n = zm.n
+    # a row's binary digits, reversed, read column 0 first
+    lines = ["P1", f"{n} {n}", *(" ".join(format(row, f"0{n}b")[::-1]) for row in zm.rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -13,14 +13,22 @@ approximate; a cap below 1 is a ``ParameterError``.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
-from .errors import ParameterError, ResourceCapError, Value, check_cap, check_hg
+from .errors import (
+    DEFAULT_ORDER_CAP,
+    DEFAULT_SUBSET_CAP,
+    ParameterError,
+    ResourceCapError,
+    Value,
+    check_cap,
+    check_hg,
+)
 from .groups import (
     Cyclic,
     GSet,
     Interval,
     _gset_unchecked,
+    diff_rows,
     elem_key,
     enumerate_pattern_classes,
     gset,
@@ -29,9 +37,6 @@ from .groups import (
     stabilizer_bound,
     sub,
 )
-
-DEFAULT_SUBSET_CAP = 10**8
-DEFAULT_ORDER_CAP = 512
 
 
 class Witness(Value):
@@ -60,7 +65,8 @@ def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CA
 
     Interval sets are verified in Z (all integer translates considered).
     On failure the witness is the violating class with the smallest
-    canonical pattern, its offsets truncated to g.  A member subset gives
+    canonical pattern, its offsets truncated to g; the class kernel stops
+    there.  A member subset gives
     at most ``stabilizer_bound`` offsets, so classes with fewer than
     ceil(g / bound) members are never collected.
     """
@@ -70,7 +76,8 @@ def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CA
         return Verdict(True)
     _cap_check(len(target), h, subset_cap)
     min_members = -(-g // stabilizer_bound(target.group, h))
-    for pc in enumerate_pattern_classes(target, h, min_members):
+    # the list ends at the first class with g offsets, if there is one
+    for pc in enumerate_pattern_classes(target, h, min_members, stop=g)[-1:]:
         if len(pc.bases) >= g:
             return Verdict(False, Witness(pc.pattern, pc.bases[:g]))
     return Verdict(True)
@@ -142,13 +149,13 @@ def build_zmatrix(target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
     if n > order_cap:
         raise ResourceCapError(f"group order {n} exceeds cap {order_cap}")
     elements = tuple(iter_elements(group))
+    keys = [elem_key(group, b) for b in elements]
+    column = {k: j for j, k in enumerate(keys)}
+    # b + c lies in A exactly when c = a - b for some a in A
     rows = []
-    for b in elements:
-        # b + c lies in A exactly when c = a - b for some a in A, and the
-        # column of c is its element key
-        mask = 0
-        for a in target.elems:
-            mask |= 1 << elem_key(group, sub(group, a, b))
+    for row in diff_rows(group, keys, [elem_key(group, a) for a in target.elems]):
+        # distinct columns sum to a mask with |A| bits; a repeat carries and loses one
+        mask = sum(map((1).__lshift__, map(column.__getitem__, row)))
         if mask.bit_count() != len(target):
             raise RuntimeError("row sum differs from |A| (broken group arithmetic)")
         rows.append(mask)
@@ -169,27 +176,34 @@ def check_kgh_params(group, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP
 def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
     """Holds iff no g x h all-ones submatrix exists (g rows, h columns).
 
-    Enumerates h-subsets of columns (h <= g makes that the cheap side) and
-    counts all-ones rows by bitset intersection.  Since b + c = c + b the
-    matrix is symmetric, so the rows serve as the columns.  A witness is
-    reported as the column elements (pattern) and the first g row elements
-    (bases).
+    Walks the h-subsets of columns (h <= g makes that the cheap side)
+    depth-first in lexicographic order, carrying the intersection of the
+    chosen columns as a bitset, and prunes a prefix whose intersection has
+    fewer than g rows: adding columns only shrinks it.  Since b + c = c + b
+    the matrix is symmetric, so the rows serve as the columns.  A witness
+    is the lexicographically first such column set (pattern) and its first
+    g all-ones rows (bases).
     """
     check_kgh_params(zm.source.group, g, h, subset_cap)
     n = zm.n
     cols = zm.rows
-    for combo in combinations(range(n), h):
-        inter = cols[combo[0]]
-        for j in combo[1:]:
-            inter &= cols[j]
-            if inter.bit_count() < g:
-                break
-        if inter.bit_count() >= g:
-            rows = [i for i in range(n) if inter >> i & 1][:g]
-            pattern = _gset_unchecked(zm.source.group, tuple(zm.elements[j] for j in combo))
-            bases = tuple(zm.elements[i] for i in rows)
-            return Verdict(False, Witness(pattern, bases))
-    return Verdict(True)
+
+    def first(chosen, inter, start):
+        if len(chosen) == h:
+            return chosen, inter
+        for j in range(start, n - h + len(chosen) + 1):
+            rows = inter & cols[j]
+            if rows.bit_count() >= g and (found := first(chosen + (j,), rows, j + 1)):
+                return found
+        return None
+
+    found = first((), (1 << n) - 1, 0)
+    if found is None:
+        return Verdict(True)
+    combo, inter = found
+    rows = [i for i in range(n) if inter >> i & 1][:g]
+    pattern = _gset_unchecked(zm.source.group, tuple(zm.elements[j] for j in combo))
+    return Verdict(False, Witness(pattern, tuple(zm.elements[i] for i in rows)))
 
 
 def interval_to_cyclic(target: GSet) -> GSet:

@@ -194,3 +194,17 @@ def brute_force_max(n, h, g):
 def as_interval_set(elems, n=None):
     n = n if n is not None else (max(elems) + 1 if elems else 1)
     return gset(Interval(n), elems)
+
+
+def naive_first_block(group, elems, g, h):
+    """The first all-ones g x h block of the sum matrix, from its entries:
+    the lexicographically first h columns (in ``iter_elements`` order) that
+    g rows b meet with every b + c in the set, and the first g such rows.
+    None when the matrix is K_{g,h}-free."""
+    members = set(elems)
+    ambient = list(iter_elements(group))
+    for cols in combinations(ambient, h):
+        rows = [b for b in ambient if all(add(group, b, c) in members for c in cols)]
+        if len(rows) >= g:
+            return cols, tuple(rows[:g])
+    return None

@@ -349,6 +349,22 @@ class TestTracedSites:
         assert calls
 
 
+class TestTracedBenchmarkRun:
+    @pytest.mark.parametrize("workload", ["verify-construct", "search-table"])
+    def test_no_operation_fails(self, tmp_path, workload):
+        # the traced run counts work from the arguments and results of the
+        # wrapped sites (a list of classes, a verdict, a matrix); a site
+        # that returns something else fails the operations that reach it
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", "1", "--trace", "1"],
+            cwd=tmp_path, capture_output=True, text=True, check=True, timeout=300,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["attempted"] > 0
+        assert result["failed"] == 0
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "two", "--g", "2"),
@@ -382,11 +398,31 @@ class TestLazyLoading:
         "startup = set(sys.modules)\n"
         "from chgsets.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
         "print(json.dumps([code, sorted(set(sys.modules) - startup)]))\n"
     )
     UNUSED = ("chgsets.bounds", "chgsets.constructions", "chgsets.fields", "chgsets.search",
               "csv", "dataclasses")
+
+    SET_MODULES = ("chgsets.groups", "chgsets.setio", "chgsets.verify")
+
+    def loaded_by(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                              env=env, capture_output=True, text=True, check=True, timeout=60)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("bounds", "--n", "100", "--h", "2", "--g", "2")])
+    def test_help_and_bounds_load_no_set_modules(self, argv):
+        code, loaded = self.loaded_by(argv)
+        assert code == 0
+        unused = set(self.SET_MODULES + self.UNUSED) - {"chgsets.bounds"}
+        assert not unused & set(loaded)
 
     @pytest.mark.parametrize("argv,expected", [
         (("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "2", "--g", "2"), 2),
@@ -396,16 +432,9 @@ class TestLazyLoading:
     def test_verify_and_zmatrix_load_only_what_they_run(self, tmp_path, argv, expected):
         norm = tmp_path / "norm.txt"
         write_set(norm, norm_set(3, 2)[0])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *(a.format(norm=norm) for a in argv)],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
-        )
-        code, loaded = json.loads(proc.stdout)
+        code, loaded = self.loaded_by([a.format(norm=norm) for a in argv])
         assert code == expected
-        assert "chgsets.verify" in loaded
+        assert set(self.SET_MODULES) <= set(loaded)
         assert not set(self.UNUSED) & set(loaded)
 
     def test_every_export_imports_from_the_package(self):

@@ -27,7 +27,7 @@ from chgsets import (
     verify_weak_chg,
     weak_random_set,
 )
-from chgsets.fields import DEFAULT_FIELD_CAP
+from chgsets.fields import DEFAULT_FIELD_CAP, ext_mul, ext_pow, primitive_element
 from oracles import naive_bad_elements
 
 # every (q, h) with q prime, h >= 2 and q^h under the default field cap
@@ -112,6 +112,19 @@ class TestNormSet:
         field = ext_field(q, h)
         a, _ = norm_set(q, h)
         assert list(a.elems) == sorted(x for x in iter_field(field) if norm(field, x) == 1)
+
+
+    @pytest.mark.parametrize("q,h", FIELD_PAIRS, ids=[f"{q}^{h}" for q, h in FIELD_PAIRS])
+    def test_packed_walk_matches_field_walk(self, q, h):
+        # the walk on packed keys against one ext_mul per norm-1 element
+        field = ext_field(q, h)
+        step = ext_pow(field, primitive_element(field), q - 1)
+        walk, x = [], field.one()
+        for _ in range((q**h - 1) // (q - 1)):
+            walk.append(x)
+            x = ext_mul(field, x, step)
+        assert x == field.one()
+        assert list(norm_set(q, h)[0].elems) == sorted(walk)
 
 
 class TestFreimanEmbed:

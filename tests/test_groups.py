@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from chgsets import (
     sub,
     zero,
 )
+from chgsets.groups import diff_rows
 from oracles import stabilizer, translate
 
 
@@ -172,6 +174,35 @@ class TestKeys:
         ka, kb = elem_key(group, a), elem_key(group, b)
         assert elem_from_key(group, ka) == a
         assert (ka < kb) == (a < b)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 6, 13, 19, 32, 97])
+    @pytest.mark.parametrize("d", [1, 2, 3, 12])
+    def test_packed_keys_order_and_round_trip(self, q, d):
+        group = Product(q, d)
+        rng = random.Random(q * 100 + d)
+        elems = {(0,) * d, (q - 1,) * d}
+        elems.update(tuple(rng.randrange(q) for _ in range(d)) for _ in range(300))
+        elems = sorted(elems)
+        keys = [elem_key(group, e) for e in elems]
+        assert keys == sorted(set(keys))
+        assert [elem_from_key(group, k) for k in keys] == elems
+
+    @given(group_and_set(), st.data())
+    def test_diff_rows_match_sub(self, gs, data):
+        group, ys = gs
+        xs = data.draw(st.lists(elem_strategy(group), min_size=1, max_size=4))
+        rows = diff_rows(group, [elem_key(group, x) for x in xs], [elem_key(group, y) for y in ys])
+        assert rows == [[elem_key(group, sub(group, y, x)) for y in ys] for x in xs]
+
+    @pytest.mark.parametrize("q,d", [(2, 12), (6, 3), (13, 3), (32, 2), (97, 3)])
+    def test_diff_rows_match_sub_on_wide_digits(self, q, d):
+        group = Product(q, d)
+        rng = random.Random(q + d)
+        elems = [tuple(rng.randrange(q) for _ in range(d)) for _ in range(40)]
+        elems += [(0,) * d, (q - 1,) * d]
+        keys = [elem_key(group, e) for e in elems]
+        assert diff_rows(group, keys, keys) == [
+            [elem_key(group, sub(group, y, x)) for y in elems] for x in elems]
 
     def test_iter_elements_sorted(self):
         for group in (Cyclic(6), Product(3, 2), Interval(5)):

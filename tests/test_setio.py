@@ -88,6 +88,17 @@ class TestMatrixExports:
         assert len(lines) == 5
         assert all(set(line.split()) <= {"0", "1"} for line in lines[2:])
 
+    @pytest.mark.parametrize("a", [
+        gset(Cyclic(1), [0]), gset(Cyclic(7), [1, 2, 4]), gset(Product(2, 3), [(0, 1, 1)]),
+        gset(Product(4, 2), [(0, 0), (1, 3), (3, 2)]), norm_set(19, 2)[0],
+    ], ids=["Z1", "Z7", "Z2^3", "Z4^2", "norm19"])
+    def test_pbm_bytes_match_bit_by_bit_form(self, a):
+        zm = build_zmatrix(a)
+        lines = ["P1", f"{zm.n} {zm.n}"]
+        for row in zm.rows:
+            lines.append(" ".join("1" if row >> j & 1 else "0" for j in range(zm.n)))
+        assert pbm_text(zm).encode() == ("\n".join(lines) + "\n").encode()
+
     def test_summary_fields(self):
         a, _ = norm_set(3, 2)
         zm = build_zmatrix(a)

@@ -27,8 +27,9 @@ from chgsets import (
     verify_chg,
     verify_weak_chg,
 )
-from chgsets.verify import check_kgh_params
+from chgsets.verify import Witness, check_kgh_params
 from oracles import (
+    naive_first_block,
     naive_is_chg_group,
     naive_is_chg_interval,
     naive_is_weak_chg_group,
@@ -336,6 +337,42 @@ class TestStructuredHosts:
         assert peak < 32 * 2**20
 
 
+class TestFirstWitness:
+    @given(st.one_of(small_group_set(),
+                     st.lists(st.integers(0, 20), max_size=9, unique=True)
+                     .map(lambda elems: gset(Interval(21), elems))),
+           st.integers(2, 4), st.integers(0, 2))
+    def test_witness_is_first_class_with_g_offsets(self, a, h, extra):
+        g = h + extra
+        first = next((pc for pc in enumerate_pattern_classes(a, h) if len(pc.bases) >= g), None)
+        verdict = verify_chg(a, h, g)
+        assert verdict.holds == (first is None)
+        if first is not None:
+            assert verdict.witness == Witness(first.pattern, first.bases[:g])
+
+    @given(small_group_set(), st.integers(2, 4), st.integers(1, 3), st.integers(1, 6))
+    def test_stop_ends_the_list_at_the_first_hit(self, a, h, least, stop):
+        full = enumerate_pattern_classes(a, h, least)
+        hits = [i for i, pc in enumerate(full) if len(pc.bases) >= stop]
+        expected = full[: hits[0] + 1] if hits else full
+        assert enumerate_pattern_classes(a, h, least, stop=stop) == expected
+
+    def test_failing_dense_verify_builds_one_class(self):
+        # C(100, 3) > 2 C(299, 2), so some 3-class has 3 members; the
+        # verdict needs only the first, not the ~26,000 classes behind it
+        rng = random.Random(300)
+        host = gset(Interval(300), rng.sample(range(300), 100))
+        tracemalloc.start()
+        try:
+            verdict = verify_chg(host, 3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict.holds
+        assert_valid_witness(host, verdict, 3, 3)
+        assert peak < 2**20
+
+
 class TestVerifyWeak:
     def test_disjoint_pair_found(self):
         a = interval_set([1, 2, 3, 4], 5)
@@ -450,6 +487,30 @@ class TestKghFree:
         for k in w.bases:
             for x in w.pattern.elems:
                 assert add(g, k, x) in (0, 1, 2, 3)
+
+
+    @given(small_group_set(), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    def test_witness_is_first_block(self, a, hg):
+        h, g = hg
+        block = naive_first_block(a.group, a.elems, g, h)
+        verdict = check_kgh_free(build_zmatrix(a), g, h)
+        assert verdict.holds == (block is None)
+        if block is not None:
+            assert (verdict.witness.pattern.elems, verdict.witness.bases) == block
+
+    @pytest.mark.parametrize("group", [Cyclic(10), Product(4, 2), Product(2, 4), Product(3, 2)])
+    def test_witness_is_first_block_on_dense_sets(self, group):
+        # dense random sets, most of whose matrices hold a block
+        rng = random.Random(order(group))
+        ambient = list(iter_elements(group))
+        for size in range(2, len(ambient) + 1):
+            a = gset(group, rng.sample(ambient, size))
+            for g, h in ((2, 2), (3, 2), (3, 3), (4, 3)):
+                block = naive_first_block(group, a.elems, g, h)
+                verdict = check_kgh_free(build_zmatrix(a), g, h)
+                assert verdict.holds == (block is None)
+                if block is not None:
+                    assert (verdict.witness.pattern.elems, verdict.witness.bases) == block
 
 
 class TestIntervalToCyclic:
