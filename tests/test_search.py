@@ -1,4 +1,7 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chgsets import (
     Interval,
@@ -12,7 +15,7 @@ from chgsets import (
     verify_chg,
 )
 from chgsets import search
-from oracles import brute_force_max
+from oracles import brute_force_max, naive_is_chg_interval
 
 
 class TestMaxExact:
@@ -33,7 +36,8 @@ class TestMaxExact:
     def test_matches_oracle_small(self):
         # max_chg_exact bounds the rest of the window by its size, max_table
         # by the maxima of the smaller windows: both must match the oracle
-        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 12)):
+        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 12), (4, 4, 16), (4, 5, 16),
+                            (5, 5, 16), (5, 6, 16)):
             expected = [brute_force_max(n, h, g) for n in range(1, n_max + 1)]
             assert [max_chg_exact(n, h, g).best_size for n in range(1, n_max + 1)] == expected
             table = max_table(n_max, h, g)
@@ -48,11 +52,12 @@ class TestMaxExact:
 
     def test_range_limit(self):
         with pytest.raises(ParameterError):
-            max_chg_exact(41, 2, 2)
+            max_chg_exact(49, 2, 2)
         with pytest.raises(ParameterError):
-            max_chg_exact(25, 3, 3)
+            max_chg_exact(29, 3, 3)
         # explicit limit overrides the default
-        assert max_chg_exact(26, 3, 3, n_limit=30).optimal
+        res = max_chg_exact(30, 3, 3, n_limit=30, node_cap=500)
+        assert res.n == 30 and verify_chg(res.best_set, 3, 3).holds
 
     def test_bad_params(self):
         with pytest.raises(ParameterError):
@@ -143,3 +148,81 @@ class TestMaxTable:
         table = max_table(8, 3, 3)
         assert [r.optimal for r in table[1:4]] == [True, False, True]
         assert [r.best_size for r in table[3:]] == [brute_force_max(n, 3, 3) for n in range(4, 9)]
+
+
+class TestSameTree:
+    """The counters change the cost of a node, never the tree."""
+
+    @pytest.mark.parametrize(
+        "n_max, h, nodes, last",
+        [
+            (32, 2, 158_362, (0, 1, 4, 10, 18, 23, 25)),
+            (20, 3, 17_946, (0, 1, 2, 3, 6, 10, 11, 13, 15, 17, 18)),
+        ],
+    )
+    def test_benchmark_tables_pinned(self, n_max, h, nodes, last):
+        table = max_table(n_max, h, h)
+        assert all(r.optimal for r in table)
+        assert sum(r.nodes_explored for r in table) == nodes
+        assert table[-1].best_set.elems == last
+
+
+def _snapshot(counter):
+    if isinstance(counter, search._PlaneCounter):
+        return tuple(counter.levels), tuple(counter.ge), tuple(counter.elems)
+    counts = {k: c for k, c in counter.counts.items() if c}
+    return counts, [tuple(p) for p in counter.prefixes], tuple(counter.elems)
+
+
+# one op per window element, in ascending order as the search and the
+# greedy scan offer them: mostly plain offers, so that sets get dense
+# enough for rejections at every h
+_OPS = ("offer",) * 9 + ("skip", "undo first", "retract")
+
+
+class TestCounters:
+    @pytest.mark.parametrize("counter_type", [search._PlaneCounter, search._DictCounter])
+    @pytest.mark.parametrize("h", range(2, 7))
+    @given(
+        st.integers(0, 2),
+        st.sampled_from(range(14, 0, -1)),
+        st.lists(st.sampled_from(_OPS), min_size=14, max_size=14),
+    )
+    @settings(max_examples=100)
+    def test_add_and_undo_match_definition(self, counter_type, h, g_over_h, n, ops):
+        g = h + g_over_h
+        counter = counter_type(n, h, g)
+        chosen, saved = [], []
+
+        def undo():
+            counter.undo()
+            chosen.pop()
+            assert _snapshot(counter) == saved.pop()
+
+        for a, op in zip(range(n), ops):
+            if op == "skip":
+                continue
+            if op == "undo first" and chosen:
+                undo()
+            before = _snapshot(counter)
+            accepted = counter.add(a)
+            assert accepted == naive_is_chg_interval(chosen + [a], h, g)
+            if not accepted:
+                assert _snapshot(counter) == before
+                continue
+            chosen.append(a)
+            saved.append(before)
+            assert list(counter.elems) == chosen
+            if op == "retract":
+                undo()
+
+    def test_wide_key_space_stays_small(self):
+        # 16^7 class keys: each bit-plane would be 2^29 bits wide, so the
+        # peak is checked window by window and a regression fails early
+        tracemalloc.start()
+        try:
+            for n in range(1, 17):
+                max_table(n, 8, 8)
+                assert tracemalloc.get_traced_memory()[1] < 4 * 2**20, n
+        finally:
+            tracemalloc.stop()
