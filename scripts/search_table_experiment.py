@@ -20,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chgsets import greedy_chg, group_bound, main_term_bound, max_table
+from chgsets.errors import DEFAULT_NODE_CAP
 
 
 def main() -> int:
@@ -27,7 +28,7 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=25)
     parser.add_argument("--h", type=int, default=2)
     parser.add_argument("--g", type=int, default=2)
-    parser.add_argument("--node-cap", type=int, default=10**9)
+    parser.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     parser.add_argument("--csv", default=None)
     args = parser.parse_args()
 

@@ -25,6 +25,7 @@ from chgsets import (
     weak_lower_bound,
     weak_random_set,
 )
+from chgsets.errors import DEFAULT_MAX_ATTEMPTS
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
     parser.add_argument("--h", type=int, default=2)
     parser.add_argument("--g", type=int, default=2)
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--max-attempts", type=int, default=64)
+    parser.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     args = parser.parse_args()
 
     p, np_val = sample_density(args.n, args.h, args.g)

@@ -18,7 +18,13 @@ import math
 from itertools import product as iter_product
 
 from .bounds import sample_density
-from .errors import DEFAULT_MAX_ATTEMPTS, ParameterError, ResourceCapError, RetryExhaustedError
+from .errors import (
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_SUBSET_CAP,
+    ParameterError,
+    ResourceCapError,
+    RetryExhaustedError,
+)
 from .fields import (
     DEFAULT_FIELD_CAP,
     ext_field,
@@ -247,6 +253,7 @@ def weak_random_set(
     g: int,
     seed: int,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
 ):
     """Sample-then-delete construction of a weak C_h[g]-set in a window of
     size n.
@@ -258,8 +265,9 @@ def weak_random_set(
     Attempt k samples from a child stream seeded by the master stream's
     k-th output, drawn as the attempt starts, so results are independent of
     scheduling and of ``max_attempts``.  Returns (set, attempts_used,
-    (|S|, |bad|, |result|)); raises RetryExhaustedError with per-attempt
-    statistics if no attempt is accepted.
+    (|S|, |bad|, |result|)) after verifying the set under ``subset_cap``;
+    raises RetryExhaustedError with per-attempt statistics if no attempt is
+    accepted.
     """
     if max_attempts < 1:
         raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -272,7 +280,7 @@ def weak_random_set(
         bad = detect_bad(sample, h, g)
         if len(sample) >= np_target / 2 and len(bad) <= np_target / 4:
             survivors = gset(Interval(n), sorted(set(sample.elems) - set(bad.elems)))
-            verdict = verify_weak_chg(survivors, h, g)
+            verdict = verify_weak_chg(survivors, h, g, subset_cap=subset_cap)
             if not verdict.holds:
                 raise RuntimeError("deletion left a weak violation (impossible)")
             return survivors, attempt + 1, (len(sample), len(bad), len(survivors))

@@ -11,12 +11,12 @@ translates of solutions found elsewhere.
 A node whose next element is e prunes when the chosen elements plus the
 most that the rest of the window could add cannot beat the best set so
 far.  The rest of the window is a window of w = n - e positions, so it
-adds at most M(w), the maximum for window size w.  ``max_chg_exact`` alone
-only knows M(w) <= w.  ``max_table`` solves the windows in increasing size
-and passes the maxima of its optimal rows to the next window (Russian
-Doll Search, Verfaillie, Lemaître & Schiex, AAAI 1996); a row cut off by
-the node cap counts as w.  Since M(n) <= M(n-1) + 1, the search of window
-n stops as soon as it finds a set of that size, and the row stays optimal.
+adds at most M(w), the maximum for window size w.  ``max_table`` solves
+the windows in increasing size (``max_chg_exact`` is its last row) and
+passes the maxima of its optimal rows to the next window (Russian Doll
+Search, Verfaillie, Lemaître & Schiex, AAAI 1996); a row cut off by the
+node cap counts as w.  Since M(n) <= M(n-1) + 1, the search of window n
+stops as soon as it finds a set of that size, and the row stays optimal.
 
 Class counts are keyed by the radix-n packed offsets from each subset's
 minimum.  ``_PlaneCounter`` keeps one mask per subset size and carry-save
@@ -54,16 +54,6 @@ class SearchResult(Value):
     the search ran to completion."""
 
     __slots__ = ("n", "h", "g", "best_size", "best_set", "nodes_explored", "optimal")
-
-
-def _check_params(n: int, h: int, g: int, n_limit, node_cap: int) -> None:
-    check_hg(h, g)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    check_cap("node cap", node_cap)
-    limit = n_limit if n_limit is not None else DEFAULT_N_LIMITS.get(h, _FALLBACK_N_LIMIT)
-    if n > limit:
-        raise ParameterError(f"n={n} above configured search range {limit} for h={h}")
 
 
 class _PlaneCounter:
@@ -206,9 +196,9 @@ def greedy_chg(n: int, h: int, g: int) -> GSet:
 
 
 def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> SearchResult:
-    """Branch and bound over the window of size n from the valid set
-    ``seed``; ``doll[w]`` is an upper bound on the maximum for window size
-    w, for every w < n."""
+    """Branch and bound over the window of size n from the non-empty valid
+    set ``seed``; ``doll[w]`` is an upper bound on the maximum for window
+    size w, for every w < n."""
     best_size = len(seed)
     best_elems = seed.elems
     ceiling = doll[n - 1] + 1
@@ -241,9 +231,6 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
         # fix element 0 into the set: any valid set translates down to one
         # of the same size whose minimum is the window's first element
         add(0)
-        if best_size < 1:
-            best_size = 1
-            best_elems = (0,)
         if best_size < ceiling:
             rec(1)
     except _NodeCapHit:
@@ -266,18 +253,13 @@ def max_chg_exact(
     g: int,
     node_cap: int = DEFAULT_NODE_CAP,
     n_limit: int | None = None,
-    incumbent: GSet | None = None,
 ) -> SearchResult:
-    """Maximum C_h[g]-set in the window of size n by branch and bound.
-
-    ``optimal`` is True exactly when the search ran to completion under
-    ``node_cap``; otherwise the best set found so far is returned, flagged.
-    An optional incumbent (any valid set in the window) seeds the pruning
-    bound.  The rest of the window bounds what it can add by its size.
+    """Maximum C_h[g]-set in the window of size n: the last row of
+    ``max_table``.  ``node_cap`` bounds the search of each window 1..n, and
+    ``nodes_explored`` counts window n only; ``optimal`` is False when that
+    search was cut off, and the best set found so far is returned.
     """
-    _check_params(n, h, g, n_limit, node_cap)
-    seed = incumbent if incumbent is not None else greedy_chg(n, h, g)
-    return _search_window(n, h, g, node_cap, seed, range(n))
+    return max_table(n, h, g, node_cap, n_limit)[-1]
 
 
 def max_table(
@@ -289,15 +271,21 @@ def max_table(
 ) -> list:
     """Exact maxima for every window size 1..n_max.
 
-    Each row reuses the previous best set as incumbent, so the sequence is
+    Each row starts from the previous row's best set, so the sequence is
     nondecreasing by construction; the unit step after an optimal row is
     asserted.  The maxima of the optimal rows bound the rest of the window
     in the next rows' searches (Russian Doll Search).
     """
-    _check_params(n_max, h, g, n_limit, node_cap)
+    check_hg(h, g)
+    if n_max < 1:
+        raise ParameterError(f"n must be >= 1, got {n_max}")
+    check_cap("node cap", node_cap)
+    limit = n_limit if n_limit is not None else DEFAULT_N_LIMITS.get(h, _FALLBACK_N_LIMIT)
+    if n_max > limit:
+        raise ParameterError(f"n={n_max} above configured search range {limit} for h={h}")
     results = []
     doll = [0]  # doll[w]: M(w) if row w is optimal, else w
-    seed = greedy_chg(1, h, g)
+    seed = gset(Interval(1), (0,))
     for n in range(1, n_max + 1):
         res = _search_window(n, h, g, node_cap, seed, doll)
         # M(n) <= M(n-1) + 1 bounds the step only after an optimal row

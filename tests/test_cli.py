@@ -89,6 +89,39 @@ class TestConstructCommands:
         sizes = report["data"]
         assert sizes["result_size"] == report["set_size"]
 
+    @pytest.mark.parametrize("cap, code", [("100000000000", 0), ("1", 3)])
+    def test_weak_self_check_reads_subset_cap(self, capsys, cap, code):
+        # C(|A|, 4) = 2,314,947,195 subsets: over the default cap, under the large one
+        got, report, err = run_cli(
+            capsys, "construct", "weak", "--n", "100000", "--h", "4", "--g", "4",
+            "--seed", "1", "--subset-cap", cap,
+        )
+        assert got == code
+        if code == 0:
+            assert report["verdict"] == {"holds": True}
+        else:
+            assert report is None
+            assert "resource cap exceeded" in err
+
+    def test_weak_verifies_once(self, capsys, monkeypatch):
+        import chgsets.cli
+        import chgsets.constructions
+
+        real = chgsets.cli.verify_weak_chg
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (chgsets.cli, chgsets.constructions):
+            monkeypatch.setattr(module, "verify_weak_chg", spy)
+        code, _, _ = run_cli(
+            capsys, "construct", "weak", "--n", "20000", "--h", "2", "--g", "2", "--seed", "7",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_weak_exhaustion_exits_five(self, capsys):
         from chgsets import RetryExhaustedError, weak_random_set
 

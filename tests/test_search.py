@@ -34,15 +34,20 @@ class TestMaxExact:
         assert max_chg_exact(3, 2, 2).best_size == 2
 
     def test_matches_oracle_small(self):
-        # max_chg_exact bounds the rest of the window by its size, max_table
-        # by the maxima of the smaller windows: both must match the oracle
         for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 12), (4, 4, 16), (4, 5, 16),
                             (5, 5, 16), (5, 6, 16)):
             expected = [brute_force_max(n, h, g) for n in range(1, n_max + 1)]
-            assert [max_chg_exact(n, h, g).best_size for n in range(1, n_max + 1)] == expected
             table = max_table(n_max, h, g)
             assert [r.best_size for r in table] == expected
             assert all(r.optimal for r in table)
+            assert max_chg_exact(n_max, h, g) == table[-1]
+
+    @pytest.mark.parametrize("n, h, g, node_cap", [
+        (1, 2, 2, 10**9), (20, 2, 2, 10**9), (12, 3, 3, 10**9), (16, 4, 5, 10**9),
+        (20, 2, 2, 5),
+    ])
+    def test_is_last_table_row(self, n, h, g, node_cap):
+        assert max_chg_exact(n, h, g, node_cap) == max_table(n, h, g, node_cap)[-1]
 
     def test_node_cap_returns_partial(self):
         res = max_chg_exact(20, 2, 2, node_cap=5)
@@ -82,10 +87,9 @@ class TestGreedy:
         assert greedy_chg(1, 2, 2).elems == (0,)
 
     def test_never_beats_exact(self):
-        for n in range(1, 20):
-            assert len(greedy_chg(n, 2, 2)) <= max_chg_exact(n, 2, 2).best_size
-        for n in range(1, 15):
-            assert len(greedy_chg(n, 3, 3)) <= max_chg_exact(n, 3, 3).best_size
+        for n_max, h in ((19, 2), (14, 3)):
+            for r in max_table(n_max, h, h):
+                assert len(greedy_chg(r.n, h, h)) <= r.best_size
 
     def test_output_verifies(self):
         for n, h, g in [(30, 2, 2), (24, 3, 3), (30, 2, 4)]:
@@ -112,8 +116,7 @@ class TestMaxTable:
             assert verify_chg(r.best_set, 3, 3).holds
 
     def test_doll_bound_work(self):
-        # the maxima of the smaller windows prune most of the tree: the
-        # window-size bound alone explores 92,741 and 7,788 nodes here
+        # the maxima of the smaller windows prune most of the tree
         assert sum(r.nodes_explored for r in max_table(26, 2, 2)) < 40_000
         assert sum(r.nodes_explored for r in max_table(16, 3, 3)) < 2_500
 
