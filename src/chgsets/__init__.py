@@ -35,7 +35,7 @@ _EXPORTS = {
     "setio": ("group_from_string", "group_to_string", "pbm_text", "read_set", "set_from_text",
               "set_to_text", "write_pbm", "write_set", "zmatrix_summary"),
     "verify": ("Verdict", "Witness", "ZMatrix", "build_zmatrix", "check_kgh_free",
-               "interval_to_cyclic", "verify_chg", "verify_weak_chg"),
+               "check_kgh_params", "interval_to_cyclic", "verify_chg", "verify_weak_chg"),
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 

@@ -6,8 +6,10 @@ reruns with identical parameters (and seed) are byte-identical apart from
 ``elapsed_ms`` and ``versions``.  Interval elements appear 1-based in all
 output; witness patterns are translation shapes and are never shifted.
 
-Exit codes: 0 success, 2 verification failure, 3 resource cap exceeded,
-4 parameter error (a usage error included), 5 retry exhaustion.
+Each handler returns its report; ``main`` alone times it, prints it and
+picks the exit code: 0 success, 2 exactly when the report's verdict does not
+hold, 3 resource cap exceeded, 4 parameter error (a usage error included),
+5 retry exhaustion.
 
 Only errors and rng load at start-up.  groups, setio and verify load inside
 the subcommands that handle a set, and bounds, constructions, fields, search
@@ -23,7 +25,7 @@ import sys
 import time
 from importlib import import_module
 
-from . import __version__
+from . import _EXPORTS, _HOME, __version__
 from .errors import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_NODE_CAP,
@@ -36,31 +38,21 @@ from .errors import (
 )
 from .rng import RNG_NAME, RNG_VERSION
 
-# Names only some subcommands need, by home module.  A handler loads them
-# with ``_load`` and calls them as globals of this module, and a module
-# attribute lookup loads them too (``__getattr__``), so whoever replaces one
-# of these names here replaces the function the handlers call.
-_LAZY = {
-    "bounds": ("BoundReport", "group_bound", "main_term_bound"),
-    "constructions": ("embedded_c33", "freiman_embed", "norm_set", "rewindow", "sphere_set",
-                      "weak_random_set"),
-    "groups": ("Interval", "Product"),
-    "search": ("greedy_chg", "max_table"),
-    "setio": ("group_to_string", "read_set", "write_pbm", "write_set", "zmatrix_summary"),
-    "verify": ("build_zmatrix", "check_kgh_free", "check_kgh_params", "verify_chg",
-               "verify_weak_chg"),
-}
-_HOME = {name: home for home, names in _LAZY.items() for name in names}
 # what every command that reads or writes a set runs
 _SETS = ("groups", "setio", "verify")
 
 
 def _load(*homes) -> None:
-    """Bind the lazy names of ``homes`` here, keeping any already bound."""
+    """Bind the package exports of ``homes`` here, keeping any already bound.
+
+    Handlers call these names as globals of this module, and a module
+    attribute lookup loads them too (``__getattr__``), so whoever replaces
+    one of them here replaces the function the handlers call.
+    """
     bound = globals()
     for home in homes:
         module = import_module(f".{home}", __package__)
-        for name in _LAZY[home]:
+        for name in _EXPORTS[home]:
             bound.setdefault(name, getattr(module, name))
 
 
@@ -102,38 +94,46 @@ def _verdict_out(group, verdict):
     return out
 
 
-def _report(command, params, group=None, set_size=None, bound_columns=None, verdict=None,
-            seed=None, attempts=None, data=None, started=None):
-    elapsed = 0 if started is None else int((time.monotonic() - started) * 1000)
-    return {
+def _report(command, params, gs=None, verdict=None, **fields):
+    """The report of one command; group, set size and the verdict's witness
+    are read from the set ``gs``, and ``fields`` fill the other keys."""
+    report = {
         "schema": 1,
         "command": command,
         "params": params,
-        "group": group,
-        "set_size": set_size,
-        "bounds": bound_columns,
-        "verdict": verdict,
-        "seed": seed,
-        "attempts": attempts,
-        "data": data,
-        "elapsed_ms": elapsed,
+        "group": None,
+        "set_size": None,
+        "bounds": None,
+        "verdict": None,
+        "seed": None,
+        "attempts": None,
+        "data": None,
         "versions": {"artifact": __version__, "rng": f"{RNG_NAME}-{RNG_VERSION}"},
     }
+    if gs is not None:
+        report.update(group=group_to_string(gs.group), set_size=len(gs),
+                      verdict=_verdict_out(gs.group, verdict))
+    report.update(fields)
+    return report
 
 
-def _emit(report) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
-
-
-def _auto_verify(gs, h: int, g: int, cap: int):
+def _constructed(command, params, gs, h: int, g: int, args):
+    """Report a constructed set: verify it unless C(|A|, h) exceeds
+    ``--subset-cap``, write it to ``--out``, and bound it in its group."""
     try:
-        return verify_chg(gs, h, g, subset_cap=cap)
+        verdict = verify_chg(gs, h, g, subset_cap=args.subset_cap)
     except ResourceCapError:
-        return None
+        verdict = None
+    if args.out:
+        write_set(args.out, gs)
+    group = gs.group
+    # interval sets are bounded through their image in Z_{2n}
+    ambient = 2 * group.n if isinstance(group, Interval) else group.q**group.d
+    return _report(command, params, gs, verdict,
+                   bounds={"bound_group": group_bound(ambient, h, g)})
 
 
-def _cmd_construct_sphere(args) -> int:
-    started = time.monotonic()
+def _cmd_construct_sphere(args) -> dict:
     _load("bounds", "constructions", *_SETS)
     check_cap("subset cap", args.subset_cap)
     if args.embed is None and args.p is None:
@@ -147,26 +147,11 @@ def _cmd_construct_sphere(args) -> int:
             gs = embedded_c33(args.embed)
     else:
         gs = sphere_set(args.p)
-    verdict = _auto_verify(gs, 3, 3, args.subset_cap)
-    if args.out:
-        write_set(args.out, gs)
-    # interval sets are bounded through their image in Z_{2n}
-    ambient = 2 * gs.group.n if isinstance(gs.group, Interval) else gs.group.q**3
-    bounds_cols = {"bound_group": group_bound(ambient, 3, 3)}
-    _emit(_report(
-        "construct sphere",
-        {"p": args.p, "embed": args.embed, "out": args.out},
-        group=group_to_string(gs.group),
-        set_size=len(gs),
-        bound_columns=bounds_cols,
-        verdict=_verdict_out(gs.group, verdict),
-        started=started,
-    ))
-    return EXIT_OK if verdict is None or verdict.holds else EXIT_VERIFY_FAILED
+    return _constructed("construct sphere", {"p": args.p, "embed": args.embed, "out": args.out},
+                        gs, 3, 3, args)
 
 
-def _cmd_construct_norm(args) -> int:
-    started = time.monotonic()
+def _cmd_construct_norm(args) -> dict:
     _load("bounds", "constructions", *_SETS)
     check_cap("subset cap", args.subset_cap)
     gs, guarantee = norm_set(args.q, args.h)
@@ -174,25 +159,13 @@ def _cmd_construct_norm(args) -> int:
         gs = freiman_embed(2 * args.q, gs)
         window = 2 ** (args.h - 1) * args.q**args.h
         gs = rewindow(gs, window)
-    verdict = _auto_verify(gs, args.h, guarantee, args.subset_cap)
-    if args.out:
-        write_set(args.out, gs)
-    n_amb = 2 * gs.group.n if isinstance(gs.group, Interval) else gs.group.q**gs.group.d
-    _emit(_report(
-        "construct norm",
-        {"q": args.q, "h": args.h, "g": guarantee, "embed": bool(args.embed),
-         "out": args.out},
-        group=group_to_string(gs.group),
-        set_size=len(gs),
-        bound_columns={"bound_group": group_bound(n_amb, args.h, guarantee)},
-        verdict=_verdict_out(gs.group, verdict),
-        started=started,
-    ))
-    return EXIT_OK if verdict is None or verdict.holds else EXIT_VERIFY_FAILED
+    return _constructed("construct norm",
+                        {"q": args.q, "h": args.h, "g": guarantee, "embed": bool(args.embed),
+                         "out": args.out},
+                        gs, args.h, guarantee, args)
 
 
-def _cmd_construct_weak(args) -> int:
-    started = time.monotonic()
+def _cmd_construct_weak(args) -> dict:
     _load("bounds", "constructions", *_SETS)
     check_cap("subset cap", args.subset_cap)
     # weak_random_set returns only a set that its own verify passed under the cap
@@ -200,45 +173,29 @@ def _cmd_construct_weak(args) -> int:
                                           args.max_attempts, args.subset_cap)
     if args.out:
         write_set(args.out, gs)
-    report = BoundReport.compute(args.n, args.h, args.g)
-    _emit(_report(
+    bound = BoundReport.compute(args.n, args.h, args.g)
+    return _report(
         "construct weak",
         {"n": args.n, "h": args.h, "g": args.g, "max_attempts": args.max_attempts,
          "out": args.out},
-        group=group_to_string(gs.group),
-        set_size=len(gs),
-        bound_columns={
-            "density_np": report.density_np,
-            "weak_lower": report.weak_lower,
-        },
-        verdict={"holds": True},
+        gs, Verdict(True),
+        bounds={"density_np": bound.density_np, "weak_lower": bound.weak_lower},
         seed=args.seed,
         attempts=attempts,
         data={"sample_size": sizes[0], "bad_size": sizes[1], "result_size": sizes[2]},
-        started=started,
-    ))
-    return EXIT_OK
+    )
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> dict:
     _load(*_SETS)
     gs = read_set(args.set)
     checker = verify_weak_chg if args.weak else verify_chg
     verdict = checker(gs, args.h, args.g, subset_cap=args.subset_cap)
-    _emit(_report(
-        "verify",
-        {"set": args.set, "h": args.h, "g": args.g, "weak": bool(args.weak)},
-        group=group_to_string(gs.group),
-        set_size=len(gs),
-        verdict=_verdict_out(gs.group, verdict),
-        started=started,
-    ))
-    return EXIT_OK if verdict.holds else EXIT_VERIFY_FAILED
+    return _report("verify", {"set": args.set, "h": args.h, "g": args.g, "weak": bool(args.weak)},
+                   gs, verdict)
 
 
-def _cmd_search(args) -> int:
-    started = time.monotonic()
+def _cmd_search(args) -> dict:
     _load("bounds", "search", *_SETS)
     results = max_table(args.n_max, args.h, args.g, node_cap=args.node_cap)
     rows = []
@@ -259,21 +216,17 @@ def _cmd_search(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
-    _emit(_report(
+    best = results[-1].best_set  # in the window of size n_max
+    return _report(
         "search",
         {"n_max": args.n_max, "h": args.h, "g": args.g, "node_cap": args.node_cap,
          "csv": args.csv},
-        group=group_to_string(Interval(args.n_max)),
-        set_size=results[-1].best_size,
-        data={"table": rows,
-              "best_set": [e + 1 for e in results[-1].best_set.elems]},
-        started=started,
-    ))
-    return EXIT_OK
+        best,
+        data={"table": rows, "best_set": [_elem_out(best.group, e) for e in best]},
+    )
 
 
-def _cmd_zmatrix(args) -> int:
-    started = time.monotonic()
+def _cmd_zmatrix(args) -> dict:
     _load(*_SETS)
     check_cap("order cap", args.order_cap)
     gs = read_set(args.set)
@@ -282,40 +235,28 @@ def _cmd_zmatrix(args) -> int:
     verdict = check_kgh_free(zm, args.g, args.h, subset_cap=args.subset_cap)
     if args.pbm:
         write_pbm(args.pbm, zm)
-    summary = zmatrix_summary(zm, args.g, args.h, verdict.holds)
-    _emit(_report(
-        "zmatrix",
-        {"set": args.set, "g": args.g, "h": args.h, "pbm": args.pbm},
-        group=group_to_string(gs.group),
-        set_size=len(gs),
-        verdict=_verdict_out(gs.group, verdict),
-        data=summary,
-        started=started,
-    ))
-    return EXIT_OK if verdict.holds else EXIT_VERIFY_FAILED
+    return _report("zmatrix", {"set": args.set, "g": args.g, "h": args.h, "pbm": args.pbm},
+                   gs, verdict, data=zmatrix_summary(zm, args.g, args.h, verdict.holds))
 
 
-def _cmd_bounds(args) -> int:
-    started = time.monotonic()
+def _cmd_bounds(args) -> dict:
     _load("bounds")
-    report = BoundReport.compute(args.n, args.h, args.g, m=args.m, s=args.s, t=args.t)
+    bound = BoundReport.compute(args.n, args.h, args.g, m=args.m, s=args.s, t=args.t)
     cols = {
-        "main_term": report.main_term,
-        "main_term_error_order": report.main_term_error_order,
-        "group": report.group,
-        "weak_lower": report.weak_lower,
-        "density_p": report.density_p,
-        "density_np": report.density_np,
+        "main_term": bound.main_term,
+        "main_term_error_order": bound.main_term_error_order,
+        "group": bound.group,
+        "weak_lower": bound.weak_lower,
+        "density_p": bound.density_p,
+        "density_np": bound.density_np,
     }
-    if report.zarankiewicz is not None:
-        cols["zarankiewicz"] = report.zarankiewicz
-    _emit(_report(
+    if bound.zarankiewicz is not None:
+        cols["zarankiewicz"] = bound.zarankiewicz
+    return _report(
         "bounds",
         {"n": args.n, "h": args.h, "g": args.g, "m": args.m, "s": args.s, "t": args.t},
-        bound_columns=cols,
-        started=started,
-    ))
-    return EXIT_OK
+        bounds=cols,
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,10 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: print its JSON report and exit 2 exactly when the
+    report's verdict does not hold; errors go to stderr with their own code."""
+    started = time.monotonic()
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+        print(json.dumps(report, sort_keys=True, indent=2))
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
@@ -425,6 +370,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    verdict = report["verdict"]
+    return EXIT_OK if verdict is None or verdict["holds"] else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     ResourceCapError,
     RetryExhaustedError,
+    check_cap,
 )
 from .fields import (
     DEFAULT_FIELD_CAP,
@@ -46,7 +47,7 @@ from .groups import (
     reduce_digits,
 )
 from .rng import SplitMix64, bernoulli_indices
-from .verify import find_disjoint_translates, verify_weak_chg
+from .verify import _cap_check, find_disjoint_translates, verify_weak_chg
 
 DEFAULT_SPHERE_CAP = 2**20  # on p^3
 
@@ -264,19 +265,23 @@ def weak_random_set(
     |S| >= np/2 and |bad| <= np/4 (so the survivor count exceeds np/4).
     Attempt k samples from a child stream seeded by the master stream's
     k-th output, drawn as the attempt starts, so results are independent of
-    scheduling and of ``max_attempts``.  Returns (set, attempts_used,
-    (|S|, |bad|, |result|)) after verifying the set under ``subset_cap``;
-    raises RetryExhaustedError with per-attempt statistics if no attempt is
+    scheduling and of ``max_attempts``.  ``subset_cap`` bounds C(|S|, h) of
+    every sample before its bad elements are detected, and so also the
+    self-check of the survivors.  Returns (set, attempts_used,
+    (|S|, |bad|, |result|)) after verifying the set; raises
+    RetryExhaustedError with per-attempt statistics if no attempt is
     accepted.
     """
     if max_attempts < 1:
         raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
+    check_cap("subset cap", subset_cap)
     p, np_target = sample_density(n, h, g)
     master = SplitMix64(seed)
     failures = []
     for attempt in range(max_attempts):
         stream = SplitMix64(master.next_uint64())
         sample = gset(Interval(n), bernoulli_indices(stream, n, p))
+        _cap_check(len(sample), h, subset_cap)
         bad = detect_bad(sample, h, g)
         if len(sample) >= np_target / 2 and len(bad) <= np_target / 4:
             survivors = gset(Interval(n), sorted(set(sample.elems) - set(bad.elems)))

@@ -40,8 +40,6 @@ from itertools import chain, product as iter_product
 
 from .errors import ParameterError, Value
 
-Elem = int | tuple
-
 _set = object.__setattr__
 
 

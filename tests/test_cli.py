@@ -16,9 +16,13 @@ ROOT = Path(__file__).parents[1]
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout (the parsed report, other text as is, or None) and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help and usage errors
+        code = exc.code
     out = capsys.readouterr()
-    report = json.loads(out.out) if out.out.strip() else None
+    report = json.loads(out.out) if out.out.startswith("{") else out.out or None
     return code, report, out.err
 
 
@@ -487,3 +491,159 @@ class TestLazyLoading:
         section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
         example = section.split("```python\n", 1)[1].split("```", 1)[0]
         exec(compile(example, "README.md", "exec"), {})
+
+
+# One invocation per handler branch and exit code.  The input files of
+# golden_inputs() are recorded with the reports and written into the working
+# directory first; outputs are relative paths, so no report or message names
+# a temporary directory.
+GOLDEN_ARGV = [
+    ("construct", "sphere", "--p", "5"),
+    ("construct", "sphere", "--p", "7", "--out", "s7.txt"),
+    ("construct", "sphere", "--embed", "1000", "--out", "e1000.txt"),
+    ("construct", "sphere", "--p", "3", "--embed", "200"),
+    ("construct", "sphere", "--p", "3", "--embed", "100"),
+    ("construct", "sphere"),
+    ("construct", "sphere", "--p", "5", "--subset-cap", "1"),
+    ("construct", "sphere", "--p", "5", "--subset-cap", "0"),
+    ("construct", "sphere", "--p", "4"),
+    ("construct", "sphere", "--p", "103"),
+    ("construct", "sphere", "--p", "5", "--out", "no-dir/s5.txt"),
+    ("construct", "norm", "--q", "3", "--h", "2"),
+    ("construct", "norm", "--q", "3", "--h", "2", "--embed", "--out", "n32e.txt"),
+    ("construct", "norm", "--q", "3", "--h", "3", "--out", "n33.txt"),
+    ("construct", "norm", "--q", "2", "--h", "4", "--embed"),
+    ("construct", "norm", "--q", "3", "--h", "2", "--subset-cap", "1"),
+    ("construct", "norm", "--q", "17", "--h", "3"),
+    ("construct", "norm", "--q", "4", "--h", "2"),
+    ("construct", "norm", "--q", "3", "--h", "1"),
+    ("construct", "weak", "--n", "20000", "--h", "2", "--g", "2", "--seed", "7",
+     "--out", "w.txt"),
+    ("construct", "weak", "--n", "10000", "--h", "3", "--g", "3", "--seed", "3"),
+    ("construct", "weak", "--n", "300", "--h", "2", "--g", "2", "--seed", "5",
+     "--max-attempts", "1"),
+    ("construct", "weak", "--n", "2000", "--h", "2", "--g", "2", "--seed", "5",
+     "--max-attempts", "1", "--subset-cap", "1"),
+    ("construct", "weak", "--n", "100000", "--h", "4", "--g", "4", "--seed", "1",
+     "--subset-cap", "1"),
+    ("construct", "weak", "--n", "20000", "--h", "2", "--g", "2", "--seed", "7",
+     "--max-attempts", "0"),
+    ("construct", "weak", "--n", "20000", "--h", "1", "--g", "2", "--seed", "1"),
+    ("construct", "weak", "--n", "20000", "--h", "2", "--g", "2", "--seed", "7",
+     "--subset-cap", "-5"),
+    ("verify", "--set", "ap5.txt", "--h", "2", "--g", "2"),
+    ("verify", "--set", "ap5.txt", "--h", "3", "--g", "3", "--weak"),
+    ("verify", "--set", "ap5.txt", "--h", "2", "--g", "2", "--weak"),
+    ("verify", "--set", "sphere5.txt", "--h", "3", "--g", "3"),
+    ("verify", "--set", "sphere5.txt", "--h", "2", "--g", "2"),
+    ("verify", "--set", "emb1000.txt", "--h", "3", "--g", "3"),
+    ("verify", "--set", "norm33.txt", "--h", "3", "--g", "3", "--weak"),
+    ("verify", "--set", "ap5.txt", "--h", "2", "--g", "2", "--subset-cap", "1"),
+    ("verify", "--set", "missing.txt", "--h", "2", "--g", "2"),
+    ("verify", "--set", "latin1.txt", "--h", "2", "--g", "2"),
+    ("verify", "--set", "ap5.txt", "--h", "3", "--g", "2"),
+    ("search", "--n-max", "10", "--h", "2", "--g", "2", "--csv", "t.csv"),
+    ("search", "--n-max", "8", "--h", "3", "--g", "3"),
+    ("search", "--n-max", "20", "--h", "2", "--g", "2", "--node-cap", "5"),
+    ("search", "--n-max", "8", "--h", "2", "--g", "2", "--node-cap", "0"),
+    ("search", "--n-max", "0", "--h", "2", "--g", "2"),
+    ("search", "--n-max", "5", "--h", "2", "--g", "2", "--csv", "no-dir/t.csv"),
+    ("zmatrix", "--set", "norm32.txt", "--g", "3", "--h", "2", "--pbm", "m.pbm"),
+    ("zmatrix", "--set", "norm32.txt", "--g", "2", "--h", "2"),
+    ("zmatrix", "--set", "ap5.txt", "--g", "2", "--h", "2"),
+    ("zmatrix", "--set", "norm32.txt", "--g", "3", "--h", "2", "--order-cap", "1"),
+    ("zmatrix", "--set", "norm32.txt", "--g", "3", "--h", "2", "--subset-cap", "1"),
+    ("zmatrix", "--set", "norm32.txt", "--g", "2", "--h", "3"),
+    ("bounds", "--n", "125", "--h", "3", "--g", "3"),
+    ("bounds", "--n", "9", "--h", "2", "--g", "3", "--m", "9", "--s", "3", "--t", "2"),
+    ("bounds", "--n", "100", "--h", "3", "--g", "2"),
+    ("--help",),
+    ("verify", "--help"),
+    ("frobnicate",),
+    (),
+    ("verify", "--set", "ap5.txt", "--h", "two", "--g", "2"),
+    ("search", "--n-max", "5", "--h", "2", "--g", "2", "--subset-cap", "0"),
+]
+GOLDEN = FIXTURES / "cli_reports.json"
+
+
+def golden_inputs():
+    from chgsets import embedded_c33, set_to_text, sphere_set
+
+    return {
+        "ap5.txt": (FIXTURES / "ap5.txt").read_text(encoding="utf-8"),
+        "latin1.txt": b"# group=interval:12\n# caf\xe9\n1\n2\n".decode("utf-8", "surrogateescape"),
+        "norm32.txt": set_to_text(norm_set(3, 2)[0]),
+        "norm33.txt": set_to_text(norm_set(3, 3)[0]),
+        "sphere5.txt": set_to_text(sphere_set(5)),
+        "emb1000.txt": set_to_text(embedded_c33(1000)),
+    }
+
+
+def replay(capsys, argv, inputs):
+    """Run one invocation in the working directory and return what the
+    golden file records of it: exit code, report minus its volatile fields
+    (or the text on stdout), stderr, and every file the run wrote."""
+    for name, text in inputs.items():
+        Path(name).write_text(text, encoding="utf-8", errors="surrogateescape")
+    before = set(os.listdir())
+    code, out, err = run_cli(capsys, *argv)
+    written = {name: Path(name).read_text(encoding="utf-8")
+               for name in sorted(set(os.listdir()) - before)}
+    if isinstance(out, dict):
+        out = strip_volatile(out)
+    return {"argv": list(argv), "exit": code, "out": out, "stderr": err, "files": written}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+class TestGoldenReports:
+    # every report, message and file the CLI gave when the fixture was recorded
+    # (re-record with `python tests/test_cli.py`)
+    def test_covers_every_invocation(self, golden):
+        assert [tuple(entry["argv"]) for entry in golden["entries"]] == GOLDEN_ARGV
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_ARGV)),
+                             ids=[" ".join(argv) or "(none)" for argv in GOLDEN_ARGV])
+    def test_replay(self, capsys, monkeypatch, tmp_path, golden, index):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap by it
+        expected = golden["entries"][index]
+        got = replay(capsys, expected["argv"], golden["inputs"])
+        assert got == expected
+        report = got["out"]
+        if isinstance(report, dict):
+            assert (got["exit"] == 2) == (report["verdict"] is not None
+                                          and report["verdict"]["holds"] is False)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+    from types import SimpleNamespace
+
+    class Captured:
+        """The part of pytest's capsys that run_cli reads."""
+
+        def __init__(self):
+            self.out, self.err = io.StringIO(), io.StringIO()
+
+        def readouterr(self):
+            return SimpleNamespace(out=self.out.getvalue(), err=self.err.getvalue())
+
+    os.environ["COLUMNS"] = "80"
+    inputs = golden_inputs()
+    entries = []
+    for argv in GOLDEN_ARGV:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            cap = Captured()  # one per run: run_cli reads it once
+            with contextlib.redirect_stdout(cap.out), contextlib.redirect_stderr(cap.err):
+                entries.append(replay(cap, argv, inputs))
+            os.chdir(ROOT)
+    GOLDEN.write_text(json.dumps({"inputs": inputs, "entries": entries}, indent=1,
+                                 sort_keys=True) + "\n", encoding="utf-8")

@@ -310,6 +310,22 @@ class TestWeakRandomSet:
         with pytest.raises(ParameterError):
             weak_random_set(100, 2, 2, seed=1, max_attempts=0)
 
+    def test_cap_meets_a_rejected_attempt(self):
+        # seed 5's only attempt fails the acceptance inequalities
+        with pytest.raises(RetryExhaustedError):
+            weak_random_set(2000, 2, 2, seed=5, max_attempts=1)
+        with pytest.raises(ResourceCapError):
+            weak_random_set(2000, 2, 2, seed=5, max_attempts=1, subset_cap=1)
+
+    @pytest.mark.parametrize("cap, error", [(1, ResourceCapError), (0, ParameterError)])
+    def test_cap_checked_before_detect_bad(self, monkeypatch, cap, error):
+        def detect_bad(*args):
+            raise AssertionError("bad elements detected before the cap was checked")
+
+        monkeypatch.setattr(constructions, "detect_bad", detect_bad)
+        with pytest.raises(error):
+            weak_random_set(20000, 2, 2, seed=7, subset_cap=cap)
+
     def test_attempt_seeds_drawn_lazily(self, monkeypatch):
         # the master stream is the first one built; it should give one child
         # seed per attempt actually run, not one per allowed attempt
