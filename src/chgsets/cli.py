@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from bisect import bisect_left
 from importlib import import_module
 
 from . import _EXPORTS, _HOME, __version__
@@ -138,15 +139,7 @@ def _cmd_construct_sphere(args) -> dict:
     check_cap("subset cap", args.subset_cap)
     if args.embed is None and args.p is None:
         raise ParameterError("construct sphere needs --p, --embed, or both")
-    if args.embed is not None:
-        if args.p is not None:
-            if 4 * args.p**3 > args.embed:
-                raise ParameterError(f"4*{args.p}^3 does not fit window {args.embed}")
-            gs = rewindow(freiman_embed(2 * args.p, sphere_set(args.p)), args.embed)
-        else:
-            gs = embedded_c33(args.embed)
-    else:
-        gs = sphere_set(args.p)
+    gs = sphere_set(args.p) if args.embed is None else embedded_c33(args.embed, args.p)
     return _constructed("construct sphere", {"p": args.p, "embed": args.embed, "out": args.out},
                         gs, 3, 3, args)
 
@@ -198,17 +191,17 @@ def _cmd_verify(args) -> dict:
 def _cmd_search(args) -> dict:
     _load("bounds", "search", *_SETS)
     results = max_table(args.n_max, args.h, args.g, node_cap=args.node_cap)
-    rows = []
-    for res in results:
-        rows.append({
-            "n": res.n,
-            "best_size": res.best_size,
-            "optimal": res.optimal,
-            "nodes": res.nodes_explored,
-            "greedy_size": len(greedy_chg(res.n, args.h, args.g)),
-            "bound_group": group_bound(2 * res.n, args.h, args.g),
-            "bound_main_term": main_term_bound(res.n, args.h, args.g),
-        })
+    # the greedy set of window n is the largest window's set cut at n
+    greedy = greedy_chg(args.n_max, args.h, args.g).elems
+    rows = [{
+        "n": res.n,
+        "best_size": res.best_size,
+        "optimal": res.optimal,
+        "nodes": res.nodes_explored,
+        "greedy_size": bisect_left(greedy, res.n),
+        "bound_group": group_bound(2 * res.n, args.h, args.g),
+        "bound_main_term": main_term_bound(res.n, args.h, args.g),
+    } for res in results]
     if args.csv:
         import csv
 
@@ -356,7 +349,8 @@ def main(argv=None) -> int:
         report = args.func(args)
         report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         print(json.dumps(report, sort_keys=True, indent=2))
-    except ParameterError as exc:
+    except (ParameterError, OverflowError) as exc:
+        # OverflowError: an integer too large for float arithmetic
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except ResourceCapError as exc:

@@ -189,16 +189,19 @@ def largest_prime_cube_fit(n: int) -> int:
     raise ParameterError(f"no odd prime p with 4p^3 <= {n} (need n >= 108)")
 
 
-def embedded_c33(n: int) -> GSet:
+def embedded_c33(n: int, p: int | None = None) -> GSet:
     """A C_3[3]-set inside the integer window of size n.
 
-    Takes the sphere set for the largest odd prime with 4p^3 <= n and maps
-    it through the carry-free digit map with base 2p; all values stay below
-    4p^3 <= n, and the size is at least p^2 - p.
+    Takes the sphere set for the odd prime p, by default the largest with
+    4p^3 <= n, and maps it through the carry-free digit map with base 2p;
+    all values stay below 4p^3 <= n, and the size is at least p^2 - p.
     """
-    if n < 108:
-        raise ParameterError(f"need n >= 108 (so p = 3 fits), got {n}")
-    p = largest_prime_cube_fit(n)
+    if p is None:
+        if n < 108:
+            raise ParameterError(f"need n >= 108 (so p = 3 fits), got {n}")
+        p = largest_prime_cube_fit(n)
+    elif 4 * p**3 > n:
+        raise ParameterError(f"4*{p}^3 does not fit window {n}")
     image = freiman_embed(2 * p, sphere_set(p))
     result = rewindow(image, n)
     if len(result) < p * p - p:
@@ -243,7 +246,7 @@ def detect_bad(sample: GSet, h: int, g: int) -> GSet:
             if m in bad:
                 continue
             cands = [b for b in bases[:idx] if (m - b) not in diffs]
-            if find_disjoint_translates(sample.group, pc.pattern.elems, cands, g - 1):
+            if find_disjoint_translates(pc.pattern, cands, g - 1):
                 bad.add(m)
     return gset(sample.group, sorted(bad))
 

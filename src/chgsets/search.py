@@ -182,7 +182,9 @@ def _counter(n: int, h: int, g: int):
 
 def greedy_chg(n: int, h: int, g: int) -> GSet:
     """Scan the window upward, keeping every element that leaves all class
-    counts below g.  Always verifies; never beats the exact search."""
+    counts below g.  Always verifies; never beats the exact search.  Whether
+    a is kept depends only on the kept elements below a, so the set of
+    window n is the set of any larger window cut at n."""
     check_hg(h, g)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -247,28 +249,16 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
     return SearchResult(n, h, g, best_size, result_set, nodes, optimal)
 
 
-def max_chg_exact(
-    n: int,
-    h: int,
-    g: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-    n_limit: int | None = None,
-) -> SearchResult:
+def max_chg_exact(n: int, h: int, g: int, node_cap: int = DEFAULT_NODE_CAP) -> SearchResult:
     """Maximum C_h[g]-set in the window of size n: the last row of
     ``max_table``.  ``node_cap`` bounds the search of each window 1..n, and
     ``nodes_explored`` counts window n only; ``optimal`` is False when that
     search was cut off, and the best set found so far is returned.
     """
-    return max_table(n, h, g, node_cap, n_limit)[-1]
+    return max_table(n, h, g, node_cap)[-1]
 
 
-def max_table(
-    n_max: int,
-    h: int,
-    g: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-    n_limit: int | None = None,
-) -> list:
+def max_table(n_max: int, h: int, g: int, node_cap: int = DEFAULT_NODE_CAP) -> list:
     """Exact maxima for every window size 1..n_max.
 
     Each row starts from the previous row's best set, so the sequence is
@@ -280,7 +270,7 @@ def max_table(
     if n_max < 1:
         raise ParameterError(f"n must be >= 1, got {n_max}")
     check_cap("node cap", node_cap)
-    limit = n_limit if n_limit is not None else DEFAULT_N_LIMITS.get(h, _FALLBACK_N_LIMIT)
+    limit = DEFAULT_N_LIMITS.get(h, _FALLBACK_N_LIMIT)
     if n_max > limit:
         raise ParameterError(f"n={n_max} above configured search range {limit} for h={h}")
     results = []

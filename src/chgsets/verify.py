@@ -83,10 +83,11 @@ def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CA
     return Verdict(True)
 
 
-def find_disjoint_translates(group, pattern, shifts, g: int):
-    """Lexicographically first g shifts whose pattern-translates are pairwise
-    disjoint, or None.  Translates at offsets b, c are disjoint exactly when
-    b - c avoids the pattern's difference set."""
+def find_disjoint_translates(pattern: GSet, shifts, g: int):
+    """Lexicographically first g shifts whose translates of ``pattern`` are
+    pairwise disjoint, or None.  Translates at offsets b, c are disjoint
+    exactly when b - c avoids the pattern's difference set."""
+    group = pattern.group
     diffs = {sub(group, x, y) for x in pattern for y in pattern}
     chosen: list = []
 
@@ -118,7 +119,7 @@ def verify_weak_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBS
     _cap_check(len(target), h, subset_cap)
     # disjoint translates are distinct member subsets, so a class needs g
     for pc in enumerate_pattern_classes(target, h, g):
-        picked = find_disjoint_translates(target.group, pc.pattern.elems, pc.bases, g)
+        picked = find_disjoint_translates(pc.pattern, pc.bases, g)
         if picked is not None:
             return Verdict(False, Witness(pc.pattern, picked))
     return Verdict(True)

@@ -328,6 +328,23 @@ class TestBoundsCommand:
         assert code == 4
 
 
+BIG = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n", BIG, "--h", "2", "--g", "2"),
+    ("bounds", "--n", "100", "--h", "2", "--g", "2", "--m", BIG, "--s", "3", "--t", "2"),
+    ("construct", "weak", "--n", BIG, "--h", "2", "--g", "2", "--seed", "1"),
+    ("construct", "sphere", "--embed", BIG, "--subset-cap", "1"),
+])
+def test_integer_too_large_for_a_float_exits_four(capsys, argv):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert report is None
+    assert err.startswith("parameter error:")
+    assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timing(self, capsys):
         _, r1, _ = run_cli(

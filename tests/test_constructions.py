@@ -207,6 +207,18 @@ class TestEmbeddedC33:
         a = embedded_c33(500)
         assert verify_chg(a, 3, 3).holds
 
+    @pytest.mark.parametrize("n,p", [(108, 3), (200, 3), (500, 5), (5000, 7), (5488, 11)])
+    def test_explicit_prime(self, n, p):
+        want = rewindow(freiman_embed(2 * p, sphere_set(p)), n)
+        assert embedded_c33(n, p) == want
+        if largest_prime_cube_fit(n) == p:
+            assert embedded_c33(n) == want
+
+    @pytest.mark.parametrize("n,p", [(107, 3), (499, 5), (100, 7)])
+    def test_explicit_prime_must_fit(self, n, p):
+        with pytest.raises(ParameterError, match=rf"4\*{p}\^3 does not fit window {n}"):
+            embedded_c33(n, p)
+
 
 class TestSidonBaseline:
     def test_small_values(self):

@@ -1,9 +1,10 @@
 import csv
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-from chgsets.cli import CSV_COLUMNS
+from chgsets.cli import CSV_COLUMNS, main
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
@@ -13,15 +14,22 @@ def run_script(name, *argv):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_search_table_experiment(tmp_path):
+def test_search_table_experiment(tmp_path, capsys):
+    argv = ("--n-max", "10", "--h", "2", "--g", "2")
     table = tmp_path / "table.csv"
-    proc = run_script("search_table_experiment.py", "--n-max", "10", "--h", "2", "--g", "2",
-                      "--csv", str(table))
+    proc = run_script("search_table_experiment.py", *argv, "--csv", str(table))
     assert proc.returncode == 0, proc.stderr
     with open(table, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS  # the CLI's `search --csv` columns
     assert len(rows) == 11
+
+    cli_table = tmp_path / "cli.csv"
+    assert main(["search", *argv, "--csv", str(cli_table)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert table.read_bytes() == cli_table.read_bytes()
+    best = report["data"]["best_set"]
+    assert f"largest window: best={len(best)}, set (1-based) = {best}" in proc.stdout
 
 
 def test_weak_set_experiment():

@@ -55,13 +55,14 @@ class TestMaxExact:
         assert res.best_size >= 1
         assert verify_chg(res.best_set, 2, 2).holds
 
-    def test_range_limit(self):
+    def test_range_limit(self, monkeypatch):
         with pytest.raises(ParameterError):
             max_chg_exact(49, 2, 2)
         with pytest.raises(ParameterError):
             max_chg_exact(29, 3, 3)
-        # explicit limit overrides the default
-        res = max_chg_exact(30, 3, 3, n_limit=30, node_cap=500)
+        # the configured limit is the only one
+        monkeypatch.setitem(search.DEFAULT_N_LIMITS, 3, 30)
+        res = max_chg_exact(30, 3, 3, node_cap=500)
         assert res.n == 30 and verify_chg(res.best_set, 3, 3).holds
 
     def test_bad_params(self):
@@ -90,6 +91,15 @@ class TestGreedy:
         for n_max, h in ((19, 2), (14, 3)):
             for r in max_table(n_max, h, h):
                 assert len(greedy_chg(r.n, h, h)) <= r.best_size
+
+    @pytest.mark.parametrize("h, g, n_max", [(2, 2, 48), (3, 3, 28), (4, 6, 16), (6, 6, 16),
+                                             (7, 9, 16)])
+    def test_window_is_prefix_of_largest(self, h, g, n_max):
+        # `search` reads every row's greedy size off the largest window's set;
+        # (6, 6) and (7, 9) switch from the planes to the dict counter below n_max
+        largest = greedy_chg(n_max, h, g).elems
+        for n in range(1, n_max + 1):
+            assert greedy_chg(n, h, g).elems == tuple(e for e in largest if e < n)
 
     def test_output_verifies(self):
         for n, h, g in [(30, 2, 2), (24, 3, 3), (30, 2, 4)]:

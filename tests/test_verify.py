@@ -27,7 +27,7 @@ from chgsets import (
     verify_chg,
     verify_weak_chg,
 )
-from chgsets.verify import Witness, check_kgh_params
+from chgsets.verify import Witness, check_kgh_params, find_disjoint_translates
 from oracles import (
     naive_first_block,
     naive_is_chg_group,
@@ -385,6 +385,13 @@ class TestVerifyWeak:
     def test_overlapping_translates_ok(self):
         a = interval_set([1, 2, 3], 4)
         assert verify_weak_chg(a, 2, 2).holds
+
+    def test_disjoint_translates_read_the_pattern_group(self):
+        # {0, 1} + 4 wraps onto 0 in Z_5, not in the window of size 5
+        shifts = (0, 1, 2, 3, 4)
+        assert find_disjoint_translates(gset(Interval(5), (0, 1)), shifts, 3) == (0, 2, 4)
+        assert find_disjoint_translates(gset(Cyclic(5), (0, 1)), shifts, 3) is None
+        assert find_disjoint_translates(gset(Cyclic(5), (0, 1)), shifts, 2) == (0, 2)
 
     @given(st.lists(st.integers(0, 18), min_size=1, max_size=9, unique=True),
            st.sampled_from([(2, 2), (2, 3), (3, 3)]))
