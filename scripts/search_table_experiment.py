@@ -5,7 +5,8 @@ Runs ``chgsets search`` and prints its report as a table, one row per window
 size up to --n-max (exact maximum, greedy baseline, bound values, normalized
 size n^(1/h - 1) * best), then the largest window's best set.  Takes the
 options of ``chgsets search``, so --csv writes the command's own CSV;
---n-max, --h and --g default to 25, 2 and 2.
+--n-max, --h and --g default to 25, 2 and 2.  Errors print one stderr line
+and exit with the code ``chgsets search`` gives them.
 
 Examples:
   python3 scripts/search_table_experiment.py --n-max 25 --h 2 --g 2
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chgsets.cli import build_parser
+from chgsets.cli import FAILURES, build_parser, report_failure
 
 DEFAULTS = ("--n-max", "25", "--h", "2", "--g", "2")  # a later option overrides these
 
@@ -27,7 +28,10 @@ def main() -> int:
     args = build_parser().parse_args(["search", *DEFAULTS, *sys.argv[1:]])
 
     t0 = time.time()
-    report = args.func(args)
+    try:
+        report = args.func(args)
+    except FAILURES as exc:  # one stderr line and the CLI's exit code
+        return report_failure(exc)
     elapsed = time.time() - t0
 
     header = f"{'n':>4} {'best':>5} {'opt':>4} {'greedy':>6} {'bound2n':>9} {'main':>8} {'best/n^(1-1/h)':>15}"

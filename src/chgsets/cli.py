@@ -340,6 +340,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the errors a command reports on one stderr line and an exit code, not a traceback
+FAILURES = (ParameterError, OverflowError, ResourceCapError, RetryExhaustedError, OSError)
+
+
+def report_failure(exc: Exception) -> int:
+    """Print one of ``FAILURES`` to stderr and return its exit code."""
+    if isinstance(exc, (ParameterError, OverflowError)):
+        # OverflowError: an integer too large for float arithmetic
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_PARAMETER
+    if isinstance(exc, ResourceCapError):
+        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_CAP
+    if isinstance(exc, RetryExhaustedError):
+        print(f"retry budget exhausted: {exc}", file=sys.stderr)
+        for attempt, sample_size, bad_size in exc.attempts:
+            print(f"  attempt {attempt}: |S|={sample_size} |bad|={bad_size}", file=sys.stderr)
+        return EXIT_RETRIES
+    print(f"i/o error: {exc}", file=sys.stderr)
+    return EXIT_PARAMETER
+
+
 def main(argv=None) -> int:
     """Run one command: print its JSON report and exit 2 exactly when the
     report's verdict does not hold; errors go to stderr with their own code."""
@@ -349,21 +371,8 @@ def main(argv=None) -> int:
         report = args.func(args)
         report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
         print(json.dumps(report, sort_keys=True, indent=2))
-    except (ParameterError, OverflowError) as exc:
-        # OverflowError: an integer too large for float arithmetic
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except ResourceCapError as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
-    except RetryExhaustedError as exc:
-        print(f"retry budget exhausted: {exc}", file=sys.stderr)
-        for attempt, sample_size, bad_size in exc.attempts:
-            print(f"  attempt {attempt}: |S|={sample_size} |bad|={bad_size}", file=sys.stderr)
-        return EXIT_RETRIES
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
+    except FAILURES as exc:
+        return report_failure(exc)
     verdict = report["verdict"]
     return EXIT_OK if verdict is None or verdict["holds"] else EXIT_VERIFY_FAILED
 

@@ -47,7 +47,7 @@ from .groups import (
     reduce_digits,
 )
 from .rng import SplitMix64, bernoulli_indices
-from .verify import _cap_check, find_disjoint_translates, verify_weak_chg
+from .verify import find_disjoint_translates, verify_weak_chg
 
 DEFAULT_SPHERE_CAP = 2**20  # on p^3
 
@@ -251,6 +251,17 @@ def detect_bad(sample: GSet, h: int, g: int) -> GSet:
     return gset(sample.group, sorted(bad))
 
 
+def _most_under_cap(h: int, subset_cap: int) -> int:
+    """The largest m with C(m, h) <= subset_cap, for subset_cap >= 1."""
+    lo, hi = h, 2 * h  # C(lo, h) <= subset_cap < C(hi, h) once the doubling stops
+    while math.comb(hi, h) <= subset_cap:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.comb(mid, h) <= subset_cap else (lo, mid)
+    return lo
+
+
 def weak_random_set(
     n: int,
     h: int,
@@ -269,8 +280,9 @@ def weak_random_set(
     Attempt k samples from a child stream seeded by the master stream's
     k-th output, drawn as the attempt starts, so results are independent of
     scheduling and of ``max_attempts``.  ``subset_cap`` bounds C(|S|, h) of
-    every sample before its bad elements are detected, and so also the
-    self-check of the survivors.  Returns (set, attempts_used,
+    every sample, and so also the self-check of the survivors: the sampler
+    stops at the first element past the largest size the cap admits, so a
+    refused sample is never drawn in full.  Returns (set, attempts_used,
     (|S|, |bad|, |result|)) after verifying the set; raises
     RetryExhaustedError with per-attempt statistics if no attempt is
     accepted.
@@ -279,12 +291,16 @@ def weak_random_set(
         raise ParameterError(f"max_attempts must be >= 1, got {max_attempts}")
     check_cap("subset cap", subset_cap)
     p, np_target = sample_density(n, h, g)
+    most = _most_under_cap(h, subset_cap)
     master = SplitMix64(seed)
     failures = []
     for attempt in range(max_attempts):
         stream = SplitMix64(master.next_uint64())
-        sample = gset(Interval(n), bernoulli_indices(stream, n, p))
-        _cap_check(len(sample), h, subset_cap)
+        sample = gset(Interval(n), bernoulli_indices(stream, n, p, stop=most + 1))
+        if len(sample) > most:
+            raise ResourceCapError(
+                f"at least {math.comb(most + 1, h)} subsets of size {h} exceed cap {subset_cap}"
+            )
         bad = detect_bad(sample, h, g)
         if len(sample) >= np_target / 2 and len(bad) <= np_target / 4:
             survivors = gset(Interval(n), sorted(set(sample.elems) - set(bad.elems)))

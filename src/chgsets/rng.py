@@ -10,6 +10,8 @@ Version 2 samples Bernoulli subsets by geometric skips (``bernoulli_indices``)
 instead of one draw per position, so version-1 seeds give other weak sets.
 """
 
+from __future__ import annotations
+
 import math
 
 RNG_NAME = "splitmix64"
@@ -37,25 +39,29 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0**-53
 
 
-def bernoulli_indices(stream, n: int, p: float) -> list:
+def bernoulli_indices(stream, n: int, p: float, stop: int | None = None) -> list:
     """The indices in [0, n) that an i.i.d. Bernoulli(p) process keeps,
-    ascending, drawn from ``stream`` by geometric skips.
+    ascending, drawn from ``stream`` by geometric skips; with ``stop``, only
+    the first ``stop`` of them.
 
     The gap before the next kept index is floor(log U / log(1 - p)) with
     U = 1 - uniform() in (0, 1], so a zero draw keeps the next index and
     never reaches log(0) (Devroye, *Non-Uniform Random Variate Generation*,
-    ch. X.2).  That costs about np + 1 draws instead of n.
+    ch. X.2).  That costs about np + 1 draws instead of n, and never more
+    than ``stop``, so a caller that refuses large samples learns it before
+    it pays for them.
     """
     if p >= 1.0:
-        return list(range(n))
+        return list(range(n)[:stop])
     if p <= 0.0:
         return []
     log_q = math.log1p(-p)
     kept = []
     i = -1
-    while True:
+    while len(kept) != stop:
         skip = math.log(1.0 - stream.uniform()) / log_q
         if skip >= n - 1 - i:  # compared as a float, so a huge skip never overflows int()
-            return kept
+            break
         i += 1 + int(skip)
         kept.append(i)
+    return kept

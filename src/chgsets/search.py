@@ -18,6 +18,20 @@ Search, Verfaillie, Lemaître & Schiex, AAAI 1996); a row cut off by the
 node cap counts as w.  Since M(n) <= M(n-1) + 1, the search of window n
 stops as soon as it finds a set of that size, and the row stays optimal.
 
+After an optimal row the search of window n starts from a set of M(n-1)
+elements, so only a set of M(n-1) + 1 can raise the row, and every such
+set holds both ends of the window: a set without n-1 would already fit
+window n-1 (and every set holds 0 by translation).  So the search puts
+n-1 into the set from the start and offers only 1..n-2, and each add of a
+also counts the h-subsets holding both a and n-1 (a forward check).  The
+reflection x -> n-1-x maps a set holding 0 and n-1 to another of the same
+size, so of the two the search keeps the one with a_1 <= n-1-a_(k-1),
+where a_1 and a_(k-1) are its second smallest and second largest elements:
+a_1 <= (n-1)/2, and once a_1 is chosen no later element exceeds n-1-a_1.
+A node's bound is then the smaller of the window from its next element to
+n-1 and the window up to n-1-a_1 plus the held n-1.  After a row cut off
+by the node cap M(n-1) is unknown, so that window searches without n-1.
+
 Class counts are keyed by the radix-n packed offsets from each subset's
 minimum.  ``_PlaneCounter`` keeps one mask per subset size and carry-save
 bit-planes of the counts, so a mark costs a shift, an AND and an OR per
@@ -77,15 +91,28 @@ class _PlaneCounter:
     extends every j-subset by a, and bit OFF − a·σ_(h−2) of level 0 records
     {a}.  Undo restores the planes saved by the add.  The masks are about
     2n^(h−1) bits wide, which is why ``_counter`` bounds the key space.
+
+    A counter built with ``top`` holds that element from the start, and
+    every element added lies below it.  The levels never hold the top, and
+    adding a also counts the h-subsets holding both a and the top:
+    ``levels[h−3] << a·n + top`` (for h=2 the one bit OFF + top − a).  That
+    mask can meet the first in a class, so it is checked with the first one
+    counted and enters the planes second.
     """
 
-    __slots__ = ("levels", "ge", "elems", "_extends", "_singleton", "_undo")
+    __slots__ = ("levels", "ge", "elems", "top", "_n", "_pair", "_carries", "_extends",
+                 "_singleton", "_undo")
 
-    def __init__(self, n: int, h: int, g: int):
+    def __init__(self, n: int, h: int, g: int, top: int | None = None):
         sigma = sum(n**i for i in range(h - 1))
         self.levels = [0] * (h - 1)
         self.ge = [0] * (g - 1)
         self.elems = []
+        self.top = top
+        self._n = n
+        # for h=2, {a, top} has key top − a: one bit of this mask shifted down by a
+        self._pair = 1 << n * sigma + top if h == 2 and top is not None else 0
+        self._carries = range(g - 2, 0, -1)
         self._extends = [(j, n ** (h - 1 - j)) for j in range(h - 2, 0, -1)]
         self._singleton = (n * sigma, sigma)  # {a} sits at OFF − a·σ_(h−2)
         self._undo = []
@@ -96,10 +123,21 @@ class _PlaneCounter:
         new = levels[-1] << a
         if new & ge[-1]:
             return False
+        top = self.top
+        if top is not None:
+            # the h-subsets holding both a and the top
+            pair = self._pair
+            both = pair >> a if pair else levels[-2] << a * self._n + top
+            if both & (ge[-1] | (ge[-2] & new if self._carries else new)):
+                return False
         self._undo.append((tuple(levels), tuple(ge)))
-        for t in range(len(ge) - 1, 0, -1):
+        for t in self._carries:
             ge[t] |= ge[t - 1] & new
         ge[0] |= new
+        if top is not None:
+            for t in self._carries:
+                ge[t] |= ge[t - 1] & both
+            ge[0] |= both
         for j, step in self._extends:
             levels[j] |= levels[j - 1] << a * step
         off, sigma = self._singleton
@@ -127,11 +165,16 @@ class _DictCounter:
     (j < h) with minimum b the counter keeps the prefix
     P(S) = (packed offsets of S)·n - b, so the key of S ∪ {a} is P(S) + a
     and the prefix of S ∪ {a} is (P(S) + a)·n - b.
+
+    A counter built with ``top`` holds that element from the start, below
+    which every added element lies, and no prefix holds it: the h-subsets
+    holding both a and the top have the keys P(S ∪ {a}) + top over the
+    (h−2)-subsets S (top − a for h=2).
     """
 
-    __slots__ = ("n", "limit", "counts", "prefixes", "bases", "elems", "_undo")
+    __slots__ = ("n", "limit", "counts", "prefixes", "bases", "elems", "top", "_undo")
 
-    def __init__(self, n: int, h: int, g: int):
+    def __init__(self, n: int, h: int, g: int, top: int | None = None):
         self.n = n
         self.limit = g - 1
         self.counts = defaultdict(int)
@@ -139,18 +182,29 @@ class _DictCounter:
         self.prefixes = [[] for _ in range(h - 1)]
         self.bases = [[] for _ in range(h - 1)]
         self.elems = self.bases[0]
+        self.top = top
         self._undo = []
 
     def add(self, a: int) -> bool:
         """Add a unless a class would reach g members; report whether added."""
-        counts = self.counts
-        keys = [p + a for p in self.prefixes[-1]]
-        if max(map(counts.__getitem__, keys), default=0) >= self.limit:
-            return False
-        for k in keys:
-            counts[k] += 1
         n = self.n
         prefixes, bases = self.prefixes, self.bases
+        keys = [p + a for p in prefixes[-1]]
+        top = self.top
+        if top is not None:
+            if len(prefixes) == 1:
+                keys.append(top - a)
+            else:
+                keys += [(p + a) * n - b + top for p, b in zip(prefixes[-2], bases[-2])]
+        # a class through the top may also be one of a's own, so each key is
+        # checked with the ones before it counted
+        counts, limit = self.counts, self.limit
+        for i, k in enumerate(keys):
+            if counts[k] >= limit:
+                for k in keys[:i]:
+                    counts[k] -= 1
+                return False
+            counts[k] += 1
         self._undo.append((keys, [len(level) for level in prefixes]))
         for j in range(len(prefixes) - 1, 0, -1):
             below = bases[j - 1]
@@ -171,13 +225,14 @@ class _DictCounter:
             del base[mark:]
 
 
-def _counter(n: int, h: int, g: int):
-    """The class counter for window n: bit-planes while the key space
+def _counter(n: int, h: int, g: int, top: int | None = None):
+    """The class counter for window n, holding ``top`` if given (see
+    ``_PlaneCounter``): bit-planes while the key space
     n^(h−1) is at most ``_PLANE_KEYS``, the dict above it.  Measured per
     window, the planes win every window at h ≤ 4 (up to 10×) and at h=5 up
     to n=26 (2^18.8 keys); at h=6 they lose from 2^15 keys, under a
     millisecond a window below the cut but 6× at n=16 (2^20 keys)."""
-    return (_PlaneCounter if n ** (h - 1) <= _PLANE_KEYS else _DictCounter)(n, h, g)
+    return (_PlaneCounter if n ** (h - 1) <= _PLANE_KEYS else _DictCounter)(n, h, g, top)
 
 
 def greedy_chg(n: int, h: int, g: int) -> GSet:
@@ -204,27 +259,41 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
     best_size = len(seed)
     best_elems = seed.elems
     ceiling = doll[n - 1] + 1
-    counter = _counter(n, h, g)
+    # a seed of doll[n-1] >= M(n-1) elements is a maximum of window n-1, so
+    # only a set of the ceiling beats it, and it holds 0 and n-1 (for n = 2,
+    # {0, 1} is the whole window and nothing is left to search)
+    held = int(n > 2 and best_size == doll[n - 1])
+    counter = _counter(n, h, g, n - 1 if held else None)
     chosen = counter.elems
     add, undo = counter.add, counter.undo
     nodes = 0
 
-    def rec(next_elem: int) -> None:
+    def bound(last):
+        """bound(last)[e]: the most elements that e..last(e) and the held
+        n-1 can add, by the maxima of the windows they lie in."""
+        return [n] + [min(doll[n - e], held + doll[max(last(e) + 1 - e, 0)])
+                      for e in range(1, n + 1)]
+
+    def rec(next_elem: int, rest: list, reflect: bool) -> None:
         # the include branch recurses, the exclude branch is the next turn
         nonlocal nodes, best_size, best_elems
         while True:
             nodes += 1
             if nodes > node_cap:
                 raise _NodeCapHit
-            if len(chosen) + doll[n - next_elem] <= best_size:
+            if len(chosen) + rest[next_elem] <= best_size:
                 return
             if add(next_elem):
-                if len(chosen) > best_size:
-                    best_size = len(chosen)
-                    best_elems = tuple(chosen)
+                if len(chosen) + held > best_size:
+                    best_size = len(chosen) + held
+                    best_elems = (*chosen, n - 1) if held else tuple(chosen)
                     if best_size >= ceiling:
                         raise _CeilingReached
-                rec(next_elem + 1)
+                if reflect:  # a_1 = next_elem: its mirror image n-1-a_1 caps the rest
+                    last = n - 1 - next_elem
+                    rec(next_elem + 1, bound(lambda e: last), False)
+                else:
+                    rec(next_elem + 1, rest, False)
                 undo()
             next_elem += 1
 
@@ -232,9 +301,13 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
     try:
         # fix element 0 into the set: any valid set translates down to one
         # of the same size whose minimum is the window's first element
-        add(0)
-        if best_size < ceiling:
-            rec(1)
+        add(0)  # {0, n-1} is valid for every h, g >= 2
+        if held:
+            # of a set and its mirror image keep one with a_1 <= n-1-a_(k-1):
+            # while a_1 is open, the rest lies in e..n-1-e
+            rec(1, bound(lambda e: n - 1 - e), True)
+        elif best_size < ceiling:
+            rec(1, bound(lambda e: n - 1), False)
     except _NodeCapHit:
         optimal = False
     except _CeilingReached:

@@ -107,6 +107,16 @@ class TestConstructCommands:
             assert report is None
             assert "resource cap exceeded" in err
 
+    @pytest.mark.parametrize("cap, code", [(None, 3), ("1", 3), ("0", 4)])
+    def test_weak_cap_met_before_the_sample_is_drawn(self, capsys, cap, code):
+        # a full sample of n = 10^21 is about 5·10^6 elements
+        got, report, err = run_cli(
+            capsys, "construct", "weak", "--n", str(10**21), "--h", "2", "--g", "2", "--seed", "1",
+            *(("--subset-cap", cap) if cap else ()),
+        )
+        assert (got, report) == (code, None)
+        assert err.startswith("resource cap exceeded: at least" if code == 3 else "parameter error:")
+
     def test_weak_verifies_once(self, capsys, monkeypatch):
         import chgsets.cli
         import chgsets.constructions

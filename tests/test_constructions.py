@@ -338,6 +338,22 @@ class TestWeakRandomSet:
         with pytest.raises(error):
             weak_random_set(20000, 2, 2, seed=7, subset_cap=cap)
 
+    def test_cap_stops_the_sampler(self, monkeypatch):
+        # about 5·10^6 elements would be kept at n = 10^21; the default cap
+        # of 10^8 subsets admits 14,142, so the sampler stops at the next one
+        draws = []
+
+        class Counting(constructions.SplitMix64):
+            def uniform(self):
+                draws.append(None)
+                return super().uniform()
+
+        monkeypatch.setattr(constructions, "SplitMix64", Counting)
+        with pytest.raises(ResourceCapError,
+                           match=r"^at least 100005153 subsets of size 2 exceed cap 100000000$"):
+            weak_random_set(10**21, 2, 2, seed=1)
+        assert len(draws) == 14_143
+
     def test_attempt_seeds_drawn_lazily(self, monkeypatch):
         # the master stream is the first one built; it should give one child
         # seed per attempt actually run, not one per allowed attempt

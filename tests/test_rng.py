@@ -93,3 +93,22 @@ class TestBernoulliIndices:
 
         kept = bernoulli_indices(Counting(3), 10**6, 5e-5)
         assert Counting.draws == len(kept) + 1
+
+    @pytest.mark.parametrize("n, p", [(100000, 0.003), (5, 1.0)])
+    def test_stop_keeps_a_prefix(self, n, p):
+        # the first `stop` indices of the full draw, one draw per kept index
+        class Counting(SplitMix64):
+            draws = 0
+
+            def uniform(self):
+                Counting.draws += 1
+                return super().uniform()
+
+        for seed in range(5):
+            full = bernoulli_indices(SplitMix64(seed), n, p)
+            for stop in (0, 1, 3, len(full) - 1, len(full), len(full) + 1):
+                Counting.draws = 0
+                kept = bernoulli_indices(Counting(seed), n, p, stop=stop)
+                assert kept == full[:stop]
+                if p < 1.0 and stop <= len(full):
+                    assert Counting.draws == stop

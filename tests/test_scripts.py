@@ -32,6 +32,14 @@ def test_search_table_experiment(tmp_path, capsys):
     assert f"largest window: best={len(best)}, set (1-based) = {best}" in proc.stdout
 
 
+def test_search_table_experiment_parameter_error():
+    # the CLI's one-line message and exit code, not a traceback
+    proc = run_script("search_table_experiment.py", "--n-max", "49")
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("parameter error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_weak_set_experiment():
     proc = run_script("weak_set_experiment.py", "--n", "20000", "--h", "2", "--g", "2",
                       "--seeds", "2")

@@ -34,13 +34,39 @@ class TestMaxExact:
         assert max_chg_exact(3, 2, 2).best_size == 2
 
     def test_matches_oracle_small(self):
-        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 12), (4, 4, 16), (4, 5, 16),
-                            (5, 5, 16), (5, 6, 16)):
+        # with g > 2 a new mark's classes and its classes through the held
+        # n-1 can meet: (2, 3), (2, 4), (3, 4), (4, 4) and (4, 6) check that
+        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 16), (2, 4, 16), (3, 4, 16),
+                            (4, 4, 16), (4, 5, 16), (4, 6, 16), (5, 5, 16), (5, 6, 16)):
             expected = [brute_force_max(n, h, g) for n in range(1, n_max + 1)]
             table = max_table(n_max, h, g)
             assert [r.best_size for r in table] == expected
             assert all(r.optimal for r in table)
             assert max_chg_exact(n_max, h, g) == table[-1]
+
+    @pytest.mark.parametrize("h, g, sizes", [
+        (6, 6, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 11, 12, 13, 14, 15]),
+        (7, 9, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 14, 15]),
+    ])
+    def test_dict_counter_maxima_pinned(self, h, g, sizes):
+        # the windows from 11 (h=6) and from 8 (h=7) on search with _DictCounter
+        assert isinstance(search._counter(16, h, g), search._DictCounter)
+        table = max_table(16, h, g)
+        assert [r.best_size for r in table] == sizes
+        assert all(r.optimal for r in table)
+
+    @pytest.mark.parametrize("h, g, n_max", [(2, 2, 32), (3, 3, 20), (2, 4, 16), (3, 4, 16),
+                                             (4, 6, 16), (6, 6, 16)])
+    def test_improving_rows_hold_both_ends(self, h, g, n_max):
+        # a set that beats window n-1 spans window n, and of it and its mirror
+        # image x -> n-1-x the search keeps one with a_1 <= n-1-a_(k-1)
+        table = max_table(n_max, h, g)
+        for before, row in zip(table, table[1:]):
+            if row.best_size > before.best_size:
+                elems = row.best_set.elems
+                assert (elems[0], elems[-1]) == (0, row.n - 1)
+                if len(elems) > 2:
+                    assert elems[1] <= row.n - 1 - elems[-2]
 
     @pytest.mark.parametrize("n, h, g, node_cap", [
         (1, 2, 2, 10**9), (20, 2, 2, 10**9), (12, 3, 3, 10**9), (16, 4, 5, 10**9),
@@ -169,8 +195,8 @@ class TestSameTree:
     @pytest.mark.parametrize(
         "n_max, h, nodes, last",
         [
-            (32, 2, 158_362, (0, 1, 4, 10, 18, 23, 25)),
-            (20, 3, 17_946, (0, 1, 2, 3, 6, 10, 11, 13, 15, 17, 18)),
+            (32, 2, 49_295, (0, 1, 4, 10, 18, 23, 25)),
+            (20, 3, 10_648, (0, 1, 2, 3, 6, 10, 11, 13, 15, 17, 18)),
         ],
     )
     def test_benchmark_tables_pinned(self, n_max, h, nodes, last):
@@ -193,6 +219,34 @@ def _snapshot(counter):
 _OPS = ("offer",) * 9 + ("skip", "undo first", "retract")
 
 
+def _replay_matches_definition(counter, h, g, offers, top):
+    # offers: (element, op) in ascending order, all below the held top if
+    # any; every verdict is the definition's, and undo restores the counter
+    chosen, saved = [], []
+
+    def undo():
+        counter.undo()
+        chosen.pop()
+        assert _snapshot(counter) == saved.pop()
+
+    for a, op in offers:
+        if op == "skip":
+            continue
+        if op == "undo first" and chosen:
+            undo()
+        before = _snapshot(counter)
+        accepted = counter.add(a)
+        assert accepted == naive_is_chg_interval(chosen + [a] + top, h, g)
+        if not accepted:
+            assert _snapshot(counter) == before
+            continue
+        chosen.append(a)
+        saved.append(before)
+        assert list(counter.elems) == chosen
+        if op == "retract":
+            undo()
+
+
 class TestCounters:
     @pytest.mark.parametrize("counter_type", [search._PlaneCounter, search._DictCounter])
     @pytest.mark.parametrize("h", range(2, 7))
@@ -204,30 +258,23 @@ class TestCounters:
     @settings(max_examples=100)
     def test_add_and_undo_match_definition(self, counter_type, h, g_over_h, n, ops):
         g = h + g_over_h
-        counter = counter_type(n, h, g)
-        chosen, saved = [], []
+        _replay_matches_definition(counter_type(n, h, g), h, g, zip(range(n), ops), [])
 
-        def undo():
-            counter.undo()
-            chosen.pop()
-            assert _snapshot(counter) == saved.pop()
-
-        for a, op in zip(range(n), ops):
-            if op == "skip":
-                continue
-            if op == "undo first" and chosen:
-                undo()
-            before = _snapshot(counter)
-            accepted = counter.add(a)
-            assert accepted == naive_is_chg_interval(chosen + [a], h, g)
-            if not accepted:
-                assert _snapshot(counter) == before
-                continue
-            chosen.append(a)
-            saved.append(before)
-            assert list(counter.elems) == chosen
-            if op == "retract":
-                undo()
+    @pytest.mark.parametrize("counter_type", [search._PlaneCounter, search._DictCounter])
+    @pytest.mark.parametrize("h", range(2, 7))
+    @given(
+        st.integers(0, 2),
+        st.sampled_from(range(14, 1, -1)),
+        st.lists(st.sampled_from(_OPS), min_size=13, max_size=13),
+    )
+    @settings(max_examples=100)
+    def test_held_top_matches_definition(self, counter_type, h, g_over_h, n, ops):
+        # the counter holds n-1 from the start and is offered 0..n-2, as in
+        # the search of a window after an optimal row; both counters match
+        # the definition, so they accept the same marks
+        g = h + g_over_h
+        _replay_matches_definition(counter_type(n, h, g, n - 1), h, g, zip(range(n - 1), ops),
+                                   [n - 1])
 
     def test_wide_key_space_stays_small(self):
         # 16^7 class keys: each bit-plane would be 2^29 bits wide, so the
