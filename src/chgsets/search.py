@@ -32,6 +32,25 @@ A node's bound is then the smaller of the window from its next element to
 n-1 and the window up to n-1-a_1 plus the held n-1.  After a row cut off
 by the node cap M(n-1) is unknown, so that window searches without n-1.
 
+At h=2 the search checks forward, as optimal Golomb ruler searches do
+(Shearer, IEEE Trans. IT 1990; Dollas, Rankin & McCracken, IEEE Trans. IT
+1998).  A difference class is full when it has g-1 members.  A node ORs
+full << c over its chosen c: those positions x would give the class of
+x - c a g-th member, so the node visits only the other, open, positions,
+found by bit scan, and prunes once its chosen elements, the held n-1 and
+the open positions left cannot beat the best set.  A set that beats it
+needs need = best + 1 - k - held more elements after the largest chosen
+one, leaving need + held gaps (the last to the held n-1).  Each gap is a
+difference outside the full classes and no value serves more than g-1 of
+them, so the gaps sum at least to the lowest free differences taken g-1
+times each.  The node prunes when that sum exceeds the room up to n-1,
+and it stops at the first open position that leaves too little room for
+the least sum of the other gaps.  ``add`` still checks every visited
+position in full.  The node cap, and ``nodes_explored``, count visited
+positions only, so at h=2 the blocked ones no longer count.  For h >= 3
+the mask would take a shift per chosen (h-1)-subset and cost more than
+the nodes it saves, so those windows keep the loop over every position.
+
 Class counts are keyed by the radix-n packed offsets from each subset's
 minimum.  ``_PlaneCounter`` keeps one mask per subset size and carry-save
 bit-planes of the counts, so a mark costs a shift, an AND and an OR per
@@ -50,7 +69,7 @@ from .errors import DEFAULT_NODE_CAP, ParameterError, Value, check_cap, check_hg
 from .groups import GSet, Interval, gset
 from .verify import verify_chg
 
-DEFAULT_N_LIMITS = {2: 48, 3: 28}
+DEFAULT_N_LIMITS = {2: 54, 3: 28}
 _FALLBACK_N_LIMIT = 16
 _PLANE_KEYS = 1 << 17
 
@@ -149,6 +168,11 @@ class _PlaneCounter:
         """Remove the element added last."""
         self.levels[:], self.ge[:] = self._undo.pop()
         self.elems.pop()
+
+    def full(self) -> int:
+        """For h=2: bit d set when the difference class d already has g−1
+        members, counting the pairs through the top."""
+        return self.ge[-1] >> self._n
 
 
 class _DictCounter:
@@ -252,6 +276,35 @@ def greedy_chg(n: int, h: int, g: int) -> GSet:
     return result
 
 
+def _blocked(full: int, chosen) -> int:
+    """For h=2: bit x set when x − c is a full class (a bit of ``full``)
+    for some chosen c, so adding x would give that class a g-th member."""
+    blocked = 0
+    for c in chosen:
+        blocked |= full << c
+    return blocked
+
+
+def _least_gaps(full: int, gaps: int, reps: int, room: int):
+    """For h=2: the least sums of ``gaps`` - 1 and of ``gaps`` gaps that
+    are differences 1..room outside the full classes (the bits of ``full``)
+    with no value used more than ``reps`` times, found by taking the lowest
+    such values ``reps`` times each; None when the larger exceeds room."""
+    free = ~full & (2 << room) - 2
+    total = d = 0
+    while gaps > 0:
+        if not free:
+            return None
+        d = (free & -free).bit_length() - 1
+        free &= free - 1
+        take = reps if gaps > reps else gaps
+        total += take * d
+        if total > room:
+            return None
+        gaps -= take
+    return total - d
+
+
 def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> SearchResult:
     """Branch and bound over the window of size n from the non-empty valid
     set ``seed``; ``doll[w]`` is an upper bound on the maximum for window
@@ -266,6 +319,7 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
     counter = _counter(n, h, g, n - 1 if held else None)
     chosen = counter.elems
     add, undo = counter.add, counter.undo
+    pairs = h == 2 and isinstance(counter, _PlaneCounter)
     nodes = 0
 
     def bound(last):
@@ -274,9 +328,18 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
         return [n] + [min(doll[n - e], held + doll[max(last(e) + 1 - e, 0)])
                       for e in range(1, n + 1)]
 
+    def improve():
+        # keep the chosen set and the held n-1 if they beat the best set
+        nonlocal best_size, best_elems
+        if len(chosen) + held > best_size:
+            best_size = len(chosen) + held
+            best_elems = (*chosen, n - 1) if held else tuple(chosen)
+            if best_size >= ceiling:
+                raise _CeilingReached
+
     def rec(next_elem: int, rest: list, reflect: bool) -> None:
         # the include branch recurses, the exclude branch is the next turn
-        nonlocal nodes, best_size, best_elems
+        nonlocal nodes
         while True:
             nodes += 1
             if nodes > node_cap:
@@ -284,11 +347,7 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
             if len(chosen) + rest[next_elem] <= best_size:
                 return
             if add(next_elem):
-                if len(chosen) + held > best_size:
-                    best_size = len(chosen) + held
-                    best_elems = (*chosen, n - 1) if held else tuple(chosen)
-                    if best_size >= ceiling:
-                        raise _CeilingReached
+                improve()
                 if reflect:  # a_1 = next_elem: its mirror image n-1-a_1 caps the rest
                     last = n - 1 - next_elem
                     rec(next_elem + 1, bound(lambda e: last), False)
@@ -297,24 +356,60 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
                 undo()
             next_elem += 1
 
+    def rec_pairs(next_elem: int, last: int, rest: list, reflect: bool) -> None:
+        # rec for h=2 on the planes: the loop visits only the open positions
+        # in next_elem..last, and their count and the free gaps bound the rest
+        nonlocal nodes
+        k = len(chosen)
+        full = counter.full()
+        # need = best_size + 1 - k - held more elements leave need + held =
+        # best_size + 1 - k gaps after max(chosen), the last to the held n-1
+        room = n - 1 - chosen[-1]
+        fewer = _least_gaps(full, best_size + 1 - k, g - 1, room)
+        if fewer is None:
+            return
+        stop = n - 1 - fewer  # the first new element leaves room for the rest
+        opened = ~_blocked(full, chosen) & (2 << last) - 1 >> next_elem << next_elem
+        count = opened.bit_count()
+        while opened:
+            x = (opened & -opened).bit_length() - 1
+            if x > stop:
+                return
+            nodes += 1
+            if nodes > node_cap:
+                raise _NodeCapHit
+            if k + min(rest[x], held + count) <= best_size:
+                return
+            opened &= opened - 1
+            count -= 1
+            if add(x):
+                improve()
+                if reflect:
+                    rec_pairs(x + 1, n - 1 - x, bound(lambda e: n - 1 - x), False)
+                else:
+                    rec_pairs(x + 1, last, rest, False)
+                undo()
+
     optimal = True
     try:
         # fix element 0 into the set: any valid set translates down to one
         # of the same size whose minimum is the window's first element
         add(0)  # {0, n-1} is valid for every h, g >= 2
-        if held:
-            # of a set and its mirror image keep one with a_1 <= n-1-a_(k-1):
-            # while a_1 is open, the rest lies in e..n-1-e
-            rec(1, bound(lambda e: n - 1 - e), True)
-        elif best_size < ceiling:
-            rec(1, bound(lambda e: n - 1), False)
+        if held or best_size < ceiling:
+            # with n-1 held, of a set and its mirror image keep one with
+            # a_1 <= n-1-a_(k-1): while a_1 is open, the rest lies in e..n-1-e
+            rest = bound(lambda e: n - 1 - held * e)
+            if pairs:
+                rec_pairs(1, n - 1 - held, rest, bool(held))
+            else:
+                rec(1, rest, bool(held))
     except _NodeCapHit:
         optimal = False
     except _CeilingReached:
         pass
     # rec reaches itself through its closure: break that cycle so the
     # counter's planes are freed here, not at the next garbage collection
-    del rec
+    del rec, rec_pairs
     result_set = gset(Interval(n), best_elems)
     verdict = verify_chg(result_set, h, g)
     if not verdict.holds:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from chgsets.cli import CSV_COLUMNS, main
+from chgsets.search import DEFAULT_N_LIMITS
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
@@ -34,7 +35,7 @@ def test_search_table_experiment(tmp_path, capsys):
 
 def test_search_table_experiment_parameter_error():
     # the CLI's one-line message and exit code, not a traceback
-    proc = run_script("search_table_experiment.py", "--n-max", "49")
+    proc = run_script("search_table_experiment.py", "--n-max", str(DEFAULT_N_LIMITS[2] + 1))
     assert proc.returncode == 4
     assert proc.stderr.startswith("parameter error:")
     assert "Traceback" not in proc.stderr

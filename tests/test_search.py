@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chgsets import (
     Interval,
@@ -35,14 +35,40 @@ class TestMaxExact:
 
     def test_matches_oracle_small(self):
         # with g > 2 a new mark's classes and its classes through the held
-        # n-1 can meet: (2, 3), (2, 4), (3, 4), (4, 4) and (4, 6) check that
-        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 16), (2, 4, 16), (3, 4, 16),
-                            (4, 4, 16), (4, 5, 16), (4, 6, 16), (5, 5, 16), (5, 6, 16)):
+        # n-1 can meet: (2, 3), (2, 4), (3, 4), (4, 4) and (4, 6) check that;
+        # h=2 with g = 2..5 checks the forward checks' full classes
+        for h, g, n_max in ((2, 2, 15), (3, 3, 12), (2, 3, 16), (2, 4, 16), (2, 5, 16),
+                            (3, 4, 16), (4, 4, 16), (4, 5, 16), (4, 6, 16), (5, 5, 16),
+                            (5, 6, 16)):
             expected = [brute_force_max(n, h, g) for n in range(1, n_max + 1)]
             table = max_table(n_max, h, g)
             assert [r.best_size for r in table] == expected
             assert all(r.optimal for r in table)
             assert max_chg_exact(n_max, h, g) == table[-1]
+
+    @pytest.mark.parametrize("n_max, g, sizes", [
+        (30, 3, [1, 2, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 9, 9, 9,
+                 9, 9, 9, 10]),
+        (24, 4, [1, 2, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 9, 9, 10, 10, 10, 10]),
+        (20, 5, [1, 2, 3, 4, 5, 5, 6, 6, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 10, 10]),
+    ])
+    def test_pair_maxima_pinned(self, n_max, g, sizes):
+        # h=2 with g > 2, past the oracle's reach: a full class has g-1 members
+        table = max_table(n_max, 2, g)
+        assert [r.best_size for r in table] == sizes
+        assert all(r.optimal for r in table)
+
+    def test_sidon_rows_are_golomb_rulers(self):
+        # a Sidon set of k elements fits window n exactly when the optimal
+        # Golomb ruler of k marks has length G(k) <= n - 1 (published values)
+        golomb = (0, 1, 3, 6, 11, 17, 25, 34, 44, 55)
+        n_max = search.DEFAULT_N_LIMITS[2]
+        assert n_max - 1 <= golomb[-1]  # then G(11) > G(10) >= n - 1
+        table = max_table(n_max, 2, 2)
+        assert [r.best_size for r in table] == [
+            max(k for k, length in enumerate(golomb, 1) if length <= n - 1)
+            for n in range(1, n_max + 1)]
+        assert all(r.optimal for r in table)
 
     @pytest.mark.parametrize("h, g, sizes", [
         (6, 6, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 11, 12, 13, 14, 15]),
@@ -83,7 +109,7 @@ class TestMaxExact:
 
     def test_range_limit(self, monkeypatch):
         with pytest.raises(ParameterError):
-            max_chg_exact(49, 2, 2)
+            max_chg_exact(search.DEFAULT_N_LIMITS[2] + 1, 2, 2)
         with pytest.raises(ParameterError):
             max_chg_exact(29, 3, 3)
         # the configured limit is the only one
@@ -156,6 +182,11 @@ class TestMaxTable:
         assert sum(r.nodes_explored for r in max_table(26, 2, 2)) < 40_000
         assert sum(r.nodes_explored for r in max_table(16, 3, 3)) < 2_500
 
+    def test_forward_check_work(self):
+        # at h=2 blocked positions are never visited, and the free gaps cut
+        # off most of the rest
+        assert sum(r.nodes_explored for r in max_table(48, 2, 2)) < 100_000
+
     def test_node_capped_rows(self):
         # rows cut off by the cap keep a valid set, and the rows that finish
         # are exact whatever the rows before them fed into their bound
@@ -195,7 +226,7 @@ class TestSameTree:
     @pytest.mark.parametrize(
         "n_max, h, nodes, last",
         [
-            (32, 2, 49_295, (0, 1, 4, 10, 18, 23, 25)),
+            (32, 2, 2_396, (0, 1, 4, 10, 18, 23, 25)),
             (20, 3, 10_648, (0, 1, 2, 3, 6, 10, 11, 13, 15, 17, 18)),
         ],
     )
@@ -275,6 +306,64 @@ class TestCounters:
         g = h + g_over_h
         _replay_matches_definition(counter_type(n, h, g, n - 1), h, g, zip(range(n - 1), ops),
                                    [n - 1])
+
+    @pytest.mark.parametrize("held", [False, True])
+    @given(st.integers(2, 4), st.integers(3, 24), st.lists(st.booleans(), min_size=23,
+                                                           max_size=23))
+    @settings(max_examples=200)
+    def test_blocked_positions_are_refused(self, held, g, n, offers):
+        # every position above the set that the forward check blocks is one
+        # add refuses, and the refusal leaves the counter as it was
+        top = [n - 1] if held else []
+        counter = search._PlaneCounter(n, 2, g, *top)
+        for a, offer in zip(range(n - held), offers):
+            if offer:
+                counter.add(a)
+        chosen = list(counter.elems)
+        blocked = search._blocked(counter.full(), chosen)
+        for x in range(chosen[-1] + 1 if chosen else 0, n - held):
+            if blocked >> x & 1:
+                assert not naive_is_chg_interval(chosen + [x] + top, 2, g)
+                before = _snapshot(counter)
+                assert not counter.add(x)
+                assert _snapshot(counter) == before
+
+    @pytest.mark.parametrize("held", [False, True])
+    @given(st.integers(2, 4), st.integers(3, 24), st.lists(st.booleans(), min_size=23,
+                                                           max_size=23), st.data())
+    @settings(max_examples=200)
+    def test_free_gaps_bound_every_completion(self, held, g, n, offers, data):
+        # split a valid set after its k-th element, with one element or more
+        # left: the gaps from the k-th element on (to the held n-1, if held)
+        # are at least the least free gaps, and the first of them leaves room
+        # for the least of the others
+        top = [n - 1] if held else []
+        counter = search._PlaneCounter(n, 2, g, *top)
+        for a, offer in zip(range(n - held), offers):
+            if offer or a == 0:
+                counter.add(a)
+        elems = list(counter.elems)
+        assume(len(elems) >= 2)
+        k = data.draw(st.integers(1, len(elems) - 1))
+        while len(counter.elems) > k:
+            counter.undo()
+        end = (elems + top)[-1]
+        room = end - elems[k - 1]
+        fewer = search._least_gaps(counter.full(), len(elems) - k + held, g - 1, room)
+        assert fewer is not None
+        assert (elems[k:] + top)[0] - elems[k - 1] + fewer <= room
+
+    @pytest.mark.parametrize("full, gaps, reps, room, least", [
+        (0b0100000, 3, 1, 12, 3),    # 1 + 2 + 3 fits, the least two sum 3
+        (0b0100000, 3, 1, 5, None),
+        (0b0100000, 3, 2, 4, 2),     # 1 + 1 + 2, each value twice at most
+        (0b0001100, 2, 1, 5, 1),     # 2 and 3 are full: 1 + 4
+        (0b0001100, 2, 1, 4, None),
+        (0b1111100, 2, 1, 6, None),  # 1 is the only free value up to room
+        (0b1111100, 2, 2, 6, 1),
+    ])
+    def test_least_gaps(self, full, gaps, reps, room, least):
+        assert search._least_gaps(full, gaps, reps, room) == least
 
     def test_wide_key_space_stays_small(self):
         # 16^7 class keys: each bit-plane would be 2^29 bits wide, so the
