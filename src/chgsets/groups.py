@@ -18,14 +18,14 @@ keys and rows of keys, never on tuples.
 into translation classes; every verifier and the bad-element detection read
 their answers from it.  It searches the zero-anchored patterns depth-first
 in key order and carries each prefix's offsets, the host elements k with
-k + prefix inside the host.  Offsets only shrink as a pattern grows, so a
-prefix with fewer offsets than the wanted member count is pruned.  The first
-level comes from the difference table; deeper levels intersect offset rows
-kept as int bitmasks over the surviving differences, so the work and the
-memory follow the host's differences, never the size of the ambient.  A
-caller that needs one witness (``stop``) ends the search at the first class
-with enough offsets.  ``canonicalize`` takes its minimum over the |X|
-candidate shifts directly.
+k + prefix inside the host.  A class is kept by its offset count, the g of
+the C_h[g] definition; offsets only shrink as a pattern grows, so a prefix
+with fewer offsets than wanted is pruned.  The first level comes from the
+difference table; deeper levels intersect offset rows kept as int bitmasks
+over the surviving differences, so the work and the memory follow the
+host's differences, never the size of the ambient.  A caller that needs one
+witness (``stop``) ends the search at the first class with enough offsets.
+``canonicalize`` takes its minimum over the |X| candidate shifts directly.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -33,7 +33,6 @@ them to the 1-based window {1, ..., n}.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, product as iter_product
@@ -228,10 +227,6 @@ def gset(group, elems) -> GSet:
     return GSet(group, tuple(uniq))
 
 
-def _gset_unchecked(group, sorted_elems) -> GSet:
-    return GSet(group, tuple(sorted_elems))
-
-
 def canonicalize(xs: GSet):
     """Canonical representative of the translation class of X.
 
@@ -246,25 +241,17 @@ def canonicalize(xs: GSet):
     keys = [elem_key(group, x) for x in elems]
     rows = diff_rows(group, keys[: len(shifts)], keys)
     keys, shift = min(zip(map(sorted, rows), shifts))
-    return _gset_unchecked(group, tuple(elem_from_key(group, k) for k in keys)), shift
-
-
-def stabilizer_bound(group, h: int) -> int:
-    """Largest possible stabilizer of an h-element pattern: 1 in Z, and
-    gcd(h, |G|) in a group, since a stabilizer is a subgroup whose cosets
-    tile the pattern."""
-    if isinstance(group, Interval):
-        return 1
-    return math.gcd(h, order(group))
+    return GSet(group, tuple(elem_from_key(group, k) for k in keys)), shift
 
 
 class PatternClass(Value):
     """A translation class of h-subsets inside a host set.
 
     ``pattern`` is the canonical representative; ``bases`` is the full,
-    sorted list of translation offsets k with pattern + k inside the host
-    (offsets, not member subsets: a pattern with a nontrivial stabilizer
-    has several offsets per member).
+    sorted list of translation offsets k with pattern + k inside the host.
+    These are the offsets that the C_h[g] definition counts, not member
+    subsets: a pattern with a nontrivial stabilizer has several offsets per
+    member.
     """
 
     __slots__ = ("pattern", "bases")
@@ -274,10 +261,10 @@ class PatternClass(Value):
         _set(self, "bases", bases)
 
 
-def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1,
+def enumerate_pattern_classes(host: GSet, h: int, min_offsets: int = 1,
                               stop: int | None = None) -> list:
     """Translation classes of h-subsets of ``host`` with at least
-    ``min_members`` member subsets, sorted by canonical pattern.
+    ``min_offsets`` offsets, sorted by canonical pattern.
 
     With ``stop``, the search ends at the first class with at least
     ``stop`` offsets, which is then the last in the list: a caller that
@@ -285,7 +272,7 @@ def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1,
     """
     if h < 2:
         raise ParameterError(f"pattern size h must be >= 2, got {h}")
-    classes = _pattern_classes(host, h, max(min_members, 1))
+    classes = _pattern_classes(host, h, max(min_offsets, 1))
     if stop is None:
         return list(classes)
     out = []
@@ -298,30 +285,28 @@ def enumerate_pattern_classes(host: GSet, h: int, min_members: int = 1,
 
 def _pattern_classes(host: GSet, h: int, least: int):
     """The classes of ``enumerate_pattern_classes``, yielded in pattern
-    order as the search finds them.
+    order as the search finds them, each with at least ``least`` offsets.
 
     A depth-first search over the zero-anchored patterns (0, d1, ..., d_{h-1}),
     d1 < ... < d_{h-1} in element-key order, so patterns come out in pattern
     order.  A node carries its offsets: the host elements k with
     k + prefix inside the host.  A pattern's offsets are a subset of its
-    prefix's offsets and it has at least as many offsets as member subsets,
-    so a child that keeps fewer than ``least`` offsets is pruned exactly.
+    prefix's offsets, so a child that keeps fewer than ``least`` offsets is
+    pruned exactly.
 
-    Level 1 comes from the difference table (``diff_rows``): one count
-    pass, then the offsets of only the differences d that reach ``least``.
-    At h = 2 on group kinds the count pass keys each pair by its class, the
-    smaller of d and -d, so level 1 holds the classes themselves.  Deeper,
-    the row of an element k is an int bitmask over those differences (bit j
-    set when k + d_j is in the host), built when a node first needs it;
-    carry-save counters over a node's rows give the children with enough
-    offsets.  Mask widths follow the differences, never the ambient.
+    Level 1 comes from the difference table (``diff_rows``): one pass
+    counts each difference d, which is the offset count of {0, d}, then
+    lists the offsets of only the differences that reach ``least``.
+    Deeper, the row of an element k is an int bitmask over those
+    differences (bit j set when k + d_j is in the host), built when a node
+    first needs it; carry-save counters over a node's rows give the
+    children with enough offsets.  Mask widths follow the differences,
+    never the ambient.
 
     In Z a pattern's minimum is 0, so every pattern found is canonical.  On
-    group kinds a class has one zero-anchored pattern per member up to the
-    stabilizer: a leaf is kept only when no P - p sorts before P, and its
-    member count is its offset count over the stabilizer's size.  ``bases``
-    lists every offset in ascending order; a pattern with a nontrivial
-    stabilizer has several per member subset.
+    group kinds a class has one zero-anchored pattern P - p for each p in P,
+    all with the same offset count: ``emit`` keeps a leaf only when no
+    P - p sorts before P.  ``bases`` lists every offset in ascending order.
     """
     group, elems = host.group, host.elems
     m = len(elems)
@@ -341,10 +326,6 @@ def _pattern_classes(host: GSet, h: int, least: int):
         table = diff_rows(group, keys, keys)
         diffs = table.__getitem__
         level = table
-        if h == 2:
-            # count pairs under their class key, the smaller of d and -d
-            cols = list(zip(*table))
-            level = (map(min, table[i][i + 1 :], cols[i][i + 1 :]) for i in range(m))
     counts = Counter(chain.from_iterable(level))
     level1 = sorted(d for d, c in counts.items() if c >= least and d)
     del counts
@@ -356,17 +337,15 @@ def _pattern_classes(host: GSet, h: int, least: int):
     origin = zero(group)
 
     def emit(digits, offs):
-        if h > 2 and not interval:
+        if not interval:
             anchored = [0, *digits]
-            shifted = list(map(sorted, diff_rows(group, anchored, anchored)))
-            # P - p == P exactly when p is in the stabilizer
-            if min(shifted) < anchored or len(offs) // shifted.count(anchored) < least:
+            if min(map(sorted, diff_rows(group, anchored, anchored))) < anchored:
                 return None
         if isinstance(group, Product):
             pattern = (origin, *(elem_from_key(group, d) for d in digits))
         else:
             pattern = (origin, *digits)  # an int element is its own key
-        return PatternClass(_gset_unchecked(group, pattern), tuple(map(elems.__getitem__, offs)))
+        return PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
 
     index = {d: j for j, d in enumerate(level1)}
     rows = [None] * m
@@ -396,5 +375,5 @@ def _pattern_classes(host: GSet, h: int, least: int):
     for j, d in enumerate(level1):
         if h > 2:
             yield from grow((d,), offsets[d], j)
-        else:
-            yield emit((d,), offsets[d])  # a pair class is never rejected
+        elif pc := emit((d,), offsets[d]):
+            yield pc

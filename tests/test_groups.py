@@ -252,6 +252,8 @@ class TestPatternClasses:
         assert pc.pattern.elems == (0, 3)
         assert pc.bases == (0, 3)
         assert stabilizer(g, pc.pattern.elems) == [0, 3]
+        # the threshold counts offsets, so two offsets reach 2
+        assert enumerate_pattern_classes(gset(g, [0, 3]), 2, 2) == classes
 
     @given(group_and_set(), st.integers(2, 5))
     def test_member_count_identity(self, gs, h):
@@ -265,9 +267,9 @@ class TestPatternClasses:
             return len(pc.bases) // len(stabilizer(group, pc.pattern.elems))
 
         assert sum(member_count(pc) for pc in classes) == math.comb(len(host), h)
-        # the member filter only drops classes, it never changes one
+        # the offset filter only drops classes, it never changes one
         for least in (2, 3):
-            kept = [pc for pc in classes if member_count(pc) >= least]
+            kept = [pc for pc in classes if len(pc.bases) >= least]
             assert enumerate_pattern_classes(host, h, least) == kept
         if isinstance(group, Interval):
             # in Z no pattern is periodic, so offsets == member subsets

@@ -75,6 +75,17 @@ def assert_valid_witness(target, verdict, h, g, weak=False):
                 assert not (translates[i] & translates[j])
 
 
+def assert_same_verdicts(variants, h, g):
+    """Plain and weak verdicts agree on every variant, and every witness is
+    valid in its own variant."""
+    for check, weak in ((verify_chg, False), (verify_weak_chg, True)):
+        verdicts = [check(a, h, g) for a in variants]
+        assert len({v.holds for v in verdicts}) == 1
+        for a, verdict in zip(variants, verdicts):
+            if not verdict.holds:
+                assert_valid_witness(a, verdict, h, g, weak=weak)
+
+
 class TestVerifyChg:
     def test_progression_fails_with_witness(self):
         a = interval_set([1, 2, 3, 4, 5], 10)
@@ -205,12 +216,33 @@ class TestVerifyChg:
             gset(Cyclic(n), [(x + k) % n for x in elems]),
             gset(Cyclic(n), [u * x % n for x in elems]),
         ]
-        for check, weak in ((verify_chg, False), (verify_weak_chg, True)):
-            verdicts = [check(a, h, g) for a in variants]
-            assert len({v.holds for v in verdicts}) == 1
-            for a, verdict in zip(variants, verdicts):
-                if not verdict.holds:
-                    assert_valid_witness(a, verdict, h, g, weak=weak)
+        assert_same_verdicts(variants, h, g)
+
+    @given(st.data(), st.sampled_from([2, 3, 4, 5, 6]), st.sampled_from([2, 3]),
+           st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    def test_verdict_invariant_under_linear_maps(self, data, q, d, hg):
+        # x -> Mx + t with M invertible mod q is an automorphism of Z_q^d
+        # followed by a translation: it maps each class onto a class with as
+        # many offsets, periodic patterns of composite q included
+        h, g = hg
+        group = Product(q, d)
+        coord = st.integers(0, q - 1)
+        unit = st.sampled_from([u for u in range(1, q) if math.gcd(u, q) == 1])
+        lower = [[data.draw(coord) if j < i else int(i == j) for j in range(d)]
+                 for i in range(d)]
+        upper = [[data.draw(coord) if j > i else data.draw(unit) if i == j else 0
+                  for j in range(d)] for i in range(d)]
+        perm = data.draw(st.permutations(range(d)))
+        # M = PLU is invertible: L and U are triangular with unit diagonals
+        matrix = [[sum(lower[perm[i]][k] * upper[k][j] for k in range(d)) for j in range(d)]
+                  for i in range(d)]
+        shift = [data.draw(coord) for _ in range(d)]
+        elems = data.draw(st.lists(st.sampled_from(list(iter_elements(group))),
+                                   min_size=1, max_size=8, unique=True))
+        image = [tuple((sum(map(int.__mul__, row, x)) + t) % q for row, t in zip(matrix, shift))
+                 for x in elems]
+        variants = [gset(group, elems), gset(group, image)]
+        assert_same_verdicts(variants, h, g)
 
     @given(st.integers(1, 20),
            st.lists(st.integers(0, 19), min_size=1, max_size=9),
@@ -222,12 +254,7 @@ class TestVerifyChg:
         h, g = hg
         elems = sorted({x % n for x in elems})
         variants = [interval_set(elems, n), interval_set([n - 1 - x for x in elems], n)]
-        for check, weak in ((verify_chg, False), (verify_weak_chg, True)):
-            verdicts = [check(a, h, g) for a in variants]
-            assert len({v.holds for v in verdicts}) == 1
-            for a, verdict in zip(variants, verdicts):
-                if not verdict.holds:
-                    assert_valid_witness(a, verdict, h, g, weak=weak)
+        assert_same_verdicts(variants, h, g)
 
 
 def structured_hosts():
@@ -297,7 +324,8 @@ class TestStructuredHosts:
         host = STRUCTURED[name]
         table = classes_by_definition(host, h)
         for least in (1, 2, 3, 4):
-            expected = [(pattern, bases) for pattern, count, bases in table if count >= least]
+            expected = [(pattern, bases) for pattern, count, bases in table
+                        if len(bases) >= least]
             got = [(pc.pattern.elems, pc.bases)
                    for pc in enumerate_pattern_classes(host, h, least)]
             assert got == expected
@@ -371,6 +399,26 @@ class TestFirstWitness:
         assert not verdict.holds
         assert_valid_witness(host, verdict, 3, 3)
         assert peak < 2**20
+
+    @pytest.mark.parametrize("host, h, g", [
+        # gcd(2, |G|) = 2, yet a class needs 2 offsets, not 1 member
+        (gset(Cyclic(10**12), random.Random(300).sample(range(10**12), 300)), 2, 2),
+        # the additive group of GF(16) is Z_2^4 and gcd(4, 16) = 4
+        (norm_set(2, 4)[0], 4, 25),
+    ], ids=["cyclic-random-300", "norm-2-4"])
+    def test_holding_verdict_gets_no_class(self, monkeypatch, host, h, g):
+        import chgsets.verify
+
+        returned = []
+
+        def counted(*args, **kwargs):
+            classes = enumerate_pattern_classes(*args, **kwargs)
+            returned.append(len(classes))
+            return classes
+
+        monkeypatch.setattr(chgsets.verify, "enumerate_pattern_classes", counted)
+        assert verify_chg(host, h, g).holds
+        assert returned == [0]
 
 
 class TestVerifyWeak:
@@ -534,11 +582,14 @@ class TestIntervalToCyclic:
     @given(st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
            st.sampled_from([(2, 2), (2, 3), (3, 3)]))
     def test_property_transfers_empirically(self, elems, hg):
+        # A lies in [1, 12] of Z_24: two of its elements are closer than 12,
+        # so a translate that stays in [1, 12] wraps none of them and is an
+        # integer translate; both verdicts agree in both directions
         h, g = hg
         a = interval_set(elems, 12)
-        if verify_chg(a, h, g).holds:
-            img = interval_to_cyclic(a)
-            assert verify_chg(img, h, g).holds
+        img = interval_to_cyclic(a)
+        for check in (verify_chg, verify_weak_chg):
+            assert check(a, h, g).holds == check(img, h, g).holds
 
 
 class TestClassConsistency:
@@ -582,6 +633,7 @@ class TestMatrixConsistency:
     @given(small_group_set(), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
     def test_kgh_free_matches_verdict(self, a, hg):
         # g rows b and h columns c with every b + c in A are g offsets of
-        # the h-set of columns
+        # the h-set of columns; the lexicographically first such column set
+        # contains 0, so it is the least canonical pattern with g offsets
         h, g = hg
-        assert check_kgh_free(build_zmatrix(a), g, h).holds == verify_chg(a, h, g).holds
+        assert check_kgh_free(build_zmatrix(a), g, h) == verify_chg(a, h, g)
