@@ -120,10 +120,10 @@ def norm_set(q: int, h: int, max_order: int = DEFAULT_FIELD_CAP):
         x = times_step(x)
     if x != one:
         raise RuntimeError(f"norm-1 walk in F_{q}^{h} did not return to 1 after {expected} steps")
-    result = gset(group, [elem_from_key(group, k) for k in keys])
-    if len(result) != expected:
-        raise RuntimeError(f"norm-1 count {len(result)} != {expected} in F_{q}^{h}")
-    return result, math.factorial(h) + 1
+    if len(set(keys)) != expected:
+        raise RuntimeError(f"norm-1 count {len(set(keys))} != {expected} in F_{q}^{h}")
+    keys.sort()  # keys sort like their tuples (``elem_key``)
+    return GSet(group, tuple(elem_from_key(group, k) for k in keys)), math.factorial(h) + 1
 
 
 def _packed_times(field, group, y):

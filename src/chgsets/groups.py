@@ -295,13 +295,13 @@ def _pattern_classes(host: GSet, h: int, least: int):
     pruned exactly.
 
     Level 1 comes from the difference table (``diff_rows``): one pass
-    counts each difference d, which is the offset count of {0, d}, then
-    lists the offsets of only the differences that reach ``least``.
-    Deeper, the row of an element k is an int bitmask over those
-    differences (bit j set when k + d_j is in the host), built when a node
-    first needs it; carry-save counters over a node's rows give the
-    children with enough offsets.  Mask widths follow the differences,
-    never the ambient.
+    counts each difference d, the offset count of {0, d}, and keeps those
+    reaching ``least``.  A second pass intersects each element k's
+    differences with level 1 once and lists k among the offsets of each
+    hit; for h > 2 it also sets the hits' bits in one ``bytearray``, k's
+    row: an int bitmask over level 1, bit j set when k + d_j is in the host.
+    Carry-save counters over a node's rows give the children with enough
+    offsets.  Mask widths follow the differences, never the ambient.
 
     In Z a pattern's minimum is 0, so every pattern found is canonical.  On
     group kinds a class has one zero-anchored pattern P - p for each p in P,
@@ -326,38 +326,35 @@ def _pattern_classes(host: GSet, h: int, least: int):
         table = diff_rows(group, keys, keys)
         diffs = table.__getitem__
         level = table
-    counts = Counter(chain.from_iterable(level))
-    level1 = sorted(d for d, c in counts.items() if c >= least and d)
-    del counts
-    offsets = {d: [] for d in level1}
-    wanted = offsets.keys()
-    for i in range(m):
-        for d in wanted & diffs(i):
-            offsets[d].append(i)
-    origin = zero(group)
+    level1 = sorted(d for d, c in Counter(chain.from_iterable(level)).items() if c >= least and d)
+    offsets = [[] for _ in level1]
+    if h == 2:
+        slot = dict(zip(level1, offsets))
+        for i in range(m):
+            for offs in map(slot.__getitem__, slot.keys() & diffs(i)):
+                offs.append(i)
+    else:
+        index = {d: j for j, d in enumerate(level1)}
+        width = (len(level1) + 7) // 8
+        rows = []
+        for i in range(m):
+            bits = bytearray(width)
+            for j in map(index.__getitem__, index.keys() & diffs(i)):
+                offsets[j].append(i)
+                bits[j >> 3] |= 1 << (j & 7)
+            rows.append(int.from_bytes(bits, "little"))
 
     def emit(digits, offs):
-        if not interval:
-            anchored = [0, *digits]
-            if min(map(sorted, diff_rows(group, anchored, anchored))) < anchored:
-                return None
-        if isinstance(group, Product):
-            pattern = (origin, *(elem_from_key(group, d) for d in digits))
-        else:
-            pattern = (origin, *digits)  # an int element is its own key
+        anchored = [0, *digits]
+        if not interval and min(map(sorted, diff_rows(group, anchored, anchored))) < anchored:
+            return None
+        pattern = tuple(elem_from_key(group, k) for k in anchored)
         return PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
-
-    index = {d: j for j, d in enumerate(level1)}
-    rows = [None] * m
 
     def grow(digits, offs, last):
         # ge[t]: the bits set in more than t of the rows of offs
         ge = [0] * least
-        for i in offs:
-            row = rows[i]
-            if row is None:
-                hits = map(index.__getitem__, index.keys() & diffs(i))
-                row = rows[i] = sum(map((1).__lshift__, hits))
+        for row in map(rows.__getitem__, offs):
             for t in range(least - 1, 0, -1):
                 ge[t] |= ge[t - 1] & row
             ge[0] |= row
@@ -372,8 +369,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
             elif pc := emit(digits + (level1[j],), kids):
                 yield pc
 
-    for j, d in enumerate(level1):
+    for j, (d, offs) in enumerate(zip(level1, offsets)):
         if h > 2:
-            yield from grow((d,), offsets[d], j)
-        elif pc := emit((d,), offsets[d]):
+            yield from grow((d,), offs, j)
+        elif pc := emit((d,), offs):
             yield pc

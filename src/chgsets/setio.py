@@ -41,7 +41,7 @@ def group_from_string(text: str):
 
 def elem_to_text(group, e) -> str:
     if isinstance(group, Product):
-        return ",".join(str(c) for c in e)
+        return ",".join(map(str, e))
     if isinstance(group, Interval):
         return str(e + 1)
     return str(e)

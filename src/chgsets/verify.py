@@ -176,7 +176,10 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
     fewer than g rows: adding columns only shrinks it.  Since b + c = c + b
     the matrix is symmetric, so the rows serve as the columns.  A witness
     is the lexicographically first such column set (pattern) and its first
-    g all-ones rows (bases).
+    g all-ones rows (bases).  That set holds column 0, the zero: a column
+    set C and its translate C - min C have equally many common rows, and
+    C - min C holds column 0 and sorts no later than C.  So the walk starts
+    at column 0 and visits C(n - 1, h - 1) column sets, not C(n, h).
     """
     check_kgh_params(zm.source.group, g, h, subset_cap)
     n = zm.n
@@ -191,7 +194,7 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
                 return found
         return None
 
-    found = first((), (1 << n) - 1, 0)
+    found = first((0,), cols[0], 1) if cols[0].bit_count() >= g else None
     if found is None:
         return Verdict(True)
     combo, inter = found

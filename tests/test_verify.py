@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,7 +26,7 @@ from chgsets import (
     verify_chg,
     verify_weak_chg,
 )
-from chgsets.verify import Witness, check_kgh_params, find_disjoint_translates
+from chgsets.verify import Witness, ZMatrix, check_kgh_params, find_disjoint_translates
 from oracles import (
     naive_first_block,
     naive_is_chg_group,
@@ -256,6 +255,28 @@ class TestVerifyChg:
         variants = [interval_set(elems, n), interval_set([n - 1 - x for x in elems], n)]
         assert_same_verdicts(variants, h, g)
 
+    @given(st.integers(1, 12),
+           st.lists(st.integers(0, 11), min_size=1, max_size=7),
+           st.integers(0, 12),
+           st.integers(0, 6),
+           st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    @example(4, [0, 1, 2, 3], 5, 2, (2, 2))
+    def test_shift_into_larger_window(self, n, elems, s, extra, hg):
+        # A + s inside a window of n + s + extra: every integer translate of
+        # a subset of A is one of A + s, so the classes, their patterns and
+        # their offset counts are the same, and every offset moves by s
+        h, g = hg
+        elems = sorted({x % n for x in elems})
+        a = interval_set(elems, n)
+        moved = interval_set([x + s for x in elems], n + s + extra)
+        for check in (verify_chg, verify_weak_chg):
+            verdict, shifted = check(a, h, g), check(moved, h, g)
+            assert shifted.holds == verdict.holds
+            if not verdict.holds:
+                assert_valid_witness(moved, shifted, h, g, weak=check is verify_weak_chg)
+                assert shifted.witness.pattern.elems == verdict.witness.pattern.elems
+                assert shifted.witness.bases == tuple(b + s for b in verdict.witness.bases)
+
 
 def structured_hosts():
     """Hosts whose classes repeat, so the class kernel's member filter
@@ -299,22 +320,21 @@ ORACLE_CASES = [(name, h) for name in sorted(STRUCTURED) for h in (2, 3, 4)
 
 
 def classes_by_definition(host, h):
-    """(pattern, member count, offsets) of every class of h-subsets, sorted
-    by pattern: a subset's pattern is its smallest S - s (S - min S in Z),
-    its offsets every k of the ambient (of the host, in Z) with
-    pattern + k inside the host."""
+    """(pattern, offsets) of every class of h-subsets, sorted by pattern: a
+    subset's pattern is its smallest S - s (S - min S in Z), its offsets
+    every k of the ambient (of the host, in Z) with pattern + k inside the
+    host."""
     group = host.group
     interval = isinstance(group, Interval)
-    members = Counter()
+    patterns = set()
     for subset in combinations(host.elems, h):
         shifts = subset[:1] if interval else subset
-        members[min(tuple(sorted(sub(group, y, x) for y in subset)) for x in shifts)] += 1
+        patterns.add(min(tuple(sorted(sub(group, y, x) for y in subset)) for x in shifts))
     inside = set(host.elems)
     ambient = host.elems if interval else list(iter_elements(group))
     return [
-        (pattern, count, tuple(k for k in ambient
-                               if all(add(group, x, k) in inside for x in pattern)))
-        for pattern, count in sorted(members.items())
+        (pattern, tuple(k for k in ambient if all(add(group, x, k) in inside for x in pattern)))
+        for pattern in sorted(patterns)
     ]
 
 
@@ -324,8 +344,7 @@ class TestStructuredHosts:
         host = STRUCTURED[name]
         table = classes_by_definition(host, h)
         for least in (1, 2, 3, 4):
-            expected = [(pattern, bases) for pattern, count, bases in table
-                        if len(bases) >= least]
+            expected = [(pattern, bases) for pattern, bases in table if len(bases) >= least]
             got = [(pc.pattern.elems, pc.bases)
                    for pc in enumerate_pattern_classes(host, h, least)]
             assert got == expected
@@ -543,6 +562,25 @@ class TestKghFree:
             for x in w.pattern.elems:
                 assert add(g, k, x) in (0, 1, 2, 3)
 
+    def test_walk_is_anchored_at_the_zero_column(self):
+        # every violating column set has a translate through column 0, so on
+        # a K_{3,2}-free matrix the walk tries column 0 with each other
+        # column once: n - 1 intersections, not the C(n, 2) + n - 1 of a
+        # walk over every pair
+        class Column(int):
+            ands = 0
+
+            def __and__(self, other):
+                Column.ands += 1
+                return int.__and__(self, other)
+
+            __rand__ = __and__
+
+        zm = build_zmatrix(norm_set(19, 2)[0])
+        counted = ZMatrix(zm.n, tuple(map(Column, zm.rows)), zm.elements, zm.source)
+        assert check_kgh_free(counted, 3, 2).holds
+        assert Column.ands <= zm.n - 1 == 360
+
 
     @given(small_group_set(), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
     def test_witness_is_first_block(self, a, hg):
@@ -590,6 +628,22 @@ class TestIntervalToCyclic:
         img = interval_to_cyclic(a)
         for check in (verify_chg, verify_weak_chg):
             assert check(a, h, g).holds == check(img, h, g).holds
+
+    @given(st.integers(1, 12),
+           st.lists(st.integers(0, 11), min_size=1, max_size=7),
+           st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+    @example(3, [0, 1, 2], (2, 2))
+    def test_read_in_cyclic_of_odd_order(self, n, elems, hg):
+        # A in [1, n] read in Z_m for m = 2n - 1 and 2n + 1: two elements of
+        # A differ by less than n, and a difference changes only by a
+        # multiple of m >= 2n - 1, so no translate that stays in A wraps one
+        # element of a pattern and not another; both verdicts agree both ways
+        h, g = hg
+        elems = sorted({x % n for x in elems})
+        a = interval_set(elems, n)
+        variants = [a, *(gset(Cyclic(m), [(x + 1) % m for x in elems])
+                         for m in (2 * n - 1, 2 * n + 1))]
+        assert_same_verdicts(variants, h, g)
 
 
 class TestClassConsistency:
