@@ -18,9 +18,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bounds": ("BoundReport", "counting_ratio", "group_bound", "main_term_bound",
-               "main_term_error_order", "sample_density", "weak_lower_bound",
-               "zarankiewicz_bound"),
+    "bounds": ("counting_ratio", "group_bound", "main_term_bound", "main_term_error_order",
+               "sample_density", "weak_lower_bound", "zarankiewicz_bound"),
     "constructions": ("detect_bad", "embedded_c33", "freiman_embed", "largest_prime_cube_fit",
                       "norm_set", "rewindow", "sidon_baseline", "sphere_alpha", "sphere_set",
                       "weak_random_set"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .errors import ParameterError, Value, check_hg
+from .errors import ParameterError, check_hg
 
 
 def main_term_bound(n: int, h: int, g: int) -> float:
@@ -103,31 +103,3 @@ def counting_ratio(counts, h: int) -> list:
         out.append((n, a_n * math.log(n) ** (1.0 / h) / n ** (1.0 - 1.0 / h)))
     return out
 
-
-class BoundReport(Value):
-    """All bound columns for one (n, h, g), plus the optional matrix bound."""
-
-    __slots__ = ("n", "h", "g", "main_term", "main_term_error_order", "group", "weak_lower",
-                 "density_p", "density_np", "zarankiewicz")
-    _defaults = {"zarankiewicz": None}
-
-    @classmethod
-    def compute(cls, n, h, g, m=None, s=None, t=None) -> "BoundReport":
-        p, np_val = sample_density(n, h, g)
-        zb = None
-        if m is not None or s is not None or t is not None:
-            if m is None or s is None or t is None:
-                raise ParameterError("matrix bound needs all of m, s, t")
-            zb = zarankiewicz_bound(m, n, s, t)
-        return cls(
-            n=n,
-            h=h,
-            g=g,
-            main_term=main_term_bound(n, h, g),
-            main_term_error_order=main_term_error_order(h),
-            group=group_bound(n, h, g),
-            weak_lower=weak_lower_bound(n, h, g),
-            density_p=p,
-            density_np=np_val,
-            zarankiewicz=zb,
-        )

@@ -166,13 +166,13 @@ def _cmd_construct_weak(args) -> dict:
                                           args.max_attempts, args.subset_cap)
     if args.out:
         write_set(args.out, gs)
-    bound = BoundReport.compute(args.n, args.h, args.g)
     return _report(
         "construct weak",
         {"n": args.n, "h": args.h, "g": args.g, "max_attempts": args.max_attempts,
          "out": args.out},
         gs, Verdict(True),
-        bounds={"density_np": bound.density_np, "weak_lower": bound.weak_lower},
+        bounds={"density_np": sample_density(args.n, args.h, args.g)[1],
+                "weak_lower": weak_lower_bound(args.n, args.h, args.g)},
         seed=args.seed,
         attempts=attempts,
         data={"sample_size": sizes[0], "bad_size": sizes[1], "result_size": sizes[2]},
@@ -234,21 +234,25 @@ def _cmd_zmatrix(args) -> dict:
 
 def _cmd_bounds(args) -> dict:
     _load("bounds")
-    bound = BoundReport.compute(args.n, args.h, args.g, m=args.m, s=args.s, t=args.t)
-    cols = {
-        "main_term": bound.main_term,
-        "main_term_error_order": bound.main_term_error_order,
-        "group": bound.group,
-        "weak_lower": bound.weak_lower,
-        "density_p": bound.density_p,
-        "density_np": bound.density_np,
-    }
-    if bound.zarankiewicz is not None:
-        cols["zarankiewicz"] = bound.zarankiewicz
+    n, h, g = args.n, args.h, args.g
+    p, np_val = sample_density(n, h, g)
+    matrix = {}
+    if (args.m, args.s, args.t) != (None, None, None):
+        if None in (args.m, args.s, args.t):
+            raise ParameterError("matrix bound needs all of m, s, t")
+        matrix["zarankiewicz"] = zarankiewicz_bound(args.m, n, args.s, args.t)
     return _report(
         "bounds",
-        {"n": args.n, "h": args.h, "g": args.g, "m": args.m, "s": args.s, "t": args.t},
-        bounds=cols,
+        {"n": n, "h": h, "g": g, "m": args.m, "s": args.s, "t": args.t},
+        bounds={
+            "main_term": main_term_bound(n, h, g),
+            "main_term_error_order": main_term_error_order(h),
+            "group": group_bound(n, h, g),
+            "weak_lower": weak_lower_bound(n, h, g),
+            "density_p": p,
+            "density_np": np_val,
+            **matrix,
+        },
     )
 
 

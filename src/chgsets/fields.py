@@ -17,7 +17,6 @@ evaluating the norm everywhere.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ParameterError, ResourceCapError, Value
@@ -99,54 +98,25 @@ def _poly_mul(q, a, b):
 
 def _poly_mod(q, a, m):
     # m monic
-    a = list(a)
+    a = _poly_trim(list(a))
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        a = _poly_trim(a)
-        if len(a) - 1 < dm:
-            break
+    while len(a) > dm:
         lead = a[-1]
         shift = len(a) - 1 - dm
         for i, c in enumerate(m):
             a[shift + i] = (a[shift + i] - lead * c) % q
-        a = _poly_trim(a)
+        _poly_trim(a)
     return a
 
 
-def _poly_eval(q, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % q
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _monic_irreducibles(q: int, deg: int) -> tuple:
-    out = []
-    for coeffs in iter_product(range(q), repeat=deg):
-        f = tuple(coeffs) + (1,)
-        if is_poly_irreducible(q, f):
-            out.append(f)
-    return tuple(out)
-
-
 def is_poly_irreducible(q: int, f) -> bool:
-    """Exhaustive irreducibility test: roots for degree <= 3, trial division
-    by lower-degree monic irreducibles in general."""
+    """Whether f (constant term first, leading coefficient nonzero) is
+    irreducible over F_q: degree >= 1 and no monic divisor of degree
+    1..deg/2, by trial division by every such polynomial, no cached tables."""
     deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if any(_poly_eval(q, f, x) == 0 for x in range(q)):
-        return False
-    if deg <= 3:
-        return True
-    for d in range(2, deg // 2 + 1):
-        for m in _monic_irreducibles(q, d):
-            if not _poly_mod(q, f, list(m)):
-                return False
-    return True
+    return deg >= 1 and all(_poly_mod(q, f, [*c, 1])
+                            for d in range(1, deg // 2 + 1)
+                            for c in iter_product(range(q), repeat=d))
 
 
 def find_irreducible(q: int, h: int, cap: int = DEFAULT_FIELD_CAP) -> tuple:
@@ -163,13 +133,8 @@ def find_irreducible(q: int, h: int, cap: int = DEFAULT_FIELD_CAP) -> tuple:
         raise ParameterError(f"extension degree must be >= 2, got {h}")
     if q**h > cap:
         raise ResourceCapError(f"field size {q}^{h} exceeds cap {cap}")
-    for k in range(q**h):
-        coeffs = []
-        v = k
-        for _ in range(h):
-            v, r = divmod(v, q)
-            coeffs.append(r)
-        f = tuple(coeffs) + (1,)
+    for c in iter_product(range(q), repeat=h):
+        f = (*reversed(c), 1)
         if is_poly_irreducible(q, f):
             return f
     raise RuntimeError("no irreducible polynomial found (impossible)")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chgsets import (
-    BoundReport,
     ParameterError,
     counting_ratio,
     group_bound,
@@ -82,6 +81,8 @@ class TestSampleDensity:
         for n in (1, 2, 5, 100):
             p, _ = sample_density(n, 2, 2)
             assert p <= 1.0
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            sample_density(0, 2, 2)
 
 
 class TestWeakLower:
@@ -120,6 +121,8 @@ class TestCountingRatio:
     def test_decreasing_counts_rejected(self):
         with pytest.raises(ParameterError):
             counting_ratio([(10, 5), (20, 4)], 2)
+        with pytest.raises(ParameterError, match="h must be >= 2"):
+            counting_ratio([(10, 5)], 1)
 
 
 class TestBoundRespect:
@@ -142,14 +145,3 @@ class TestBoundRespect:
         for p in (3, 5, 7):
             a = sidon_baseline(p)
             assert len(a) <= group_bound(2 * a.group.n, 2, 2)
-
-
-class TestBoundReport:
-    def test_compute_with_matrix(self):
-        rep = BoundReport.compute(9, 2, 3, m=9, s=3, t=2)
-        assert rep.zarankiewicz == pytest.approx(63.0, abs=1e-9)
-        assert rep.group == group_bound(9, 2, 3)
-
-    def test_partial_matrix_params_rejected(self):
-        with pytest.raises(ParameterError):
-            BoundReport.compute(9, 2, 3, m=9, s=3)

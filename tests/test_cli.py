@@ -168,6 +168,15 @@ class TestVerifyCommand:
         assert witness["pattern"] == [0, 1]
         assert witness["bases"] == [1, 2]  # 1-based window values
 
+    def test_cyclic_witness_bases_unshifted(self, capsys, tmp_path):
+        path = tmp_path / "ap4.txt"
+        path.write_text("# group=cyclic:7\n0\n1\n2\n3\n")
+        code, report, _ = run_cli(capsys, "verify", "--set", str(path), "--h", "2", "--g", "2")
+        assert code == 2
+        witness = report["verdict"]["witness"]
+        assert witness["pattern"] == [0, 1]
+        assert witness["bases"] == [0, 1]  # group elements, not shifted to 1-based
+
     def test_weak_flag(self, capsys):
         code, report, _ = run_cli(
             capsys, "verify", "--set", str(FIXTURES / "ap5.txt"),
@@ -336,6 +345,14 @@ class TestBoundsCommand:
     def test_bad_params_exit_four(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--n", "100", "--h", "3", "--g", "2")
         assert code == 4
+
+    def test_partial_matrix_params_exit_four(self, capsys):
+        code, report, err = run_cli(
+            capsys, "bounds", "--n", "9", "--h", "2", "--g", "3", "--m", "9", "--s", "3",
+        )
+        assert code == 4
+        assert report is None
+        assert "matrix bound needs all of m, s, t" in err
 
 
 BIG = str(10**400)

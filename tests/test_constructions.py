@@ -143,6 +143,8 @@ class TestFreimanEmbed:
         g = Product(3, 2)
         with pytest.raises(ParameterError):
             freiman_embed(5, gset(g, [(0, 0)]))
+        with pytest.raises(ParameterError, match="expects a product-group set"):
+            freiman_embed(6, gset(Interval(5), [0]))
 
     def test_injective(self):
         g = Product(3, 3)
@@ -202,6 +204,8 @@ class TestEmbeddedC33:
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
             embedded_c33(107)
+        with pytest.raises(ParameterError, match="no odd prime p with 4p"):
+            largest_prime_cube_fit(100)
 
     def test_result_verifies(self):
         a = embedded_c33(500)
@@ -224,6 +228,8 @@ class TestSidonBaseline:
     def test_small_values(self):
         assert sidon_baseline(2).elems == (0, 5)
         assert sidon_baseline(3).elems == (0, 7, 13)
+        with pytest.raises(ParameterError, match="need a prime, got 4"):
+            sidon_baseline(4)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_verifies_sidon(self, p):
@@ -242,6 +248,8 @@ class TestRewindow:
         a = gset(Interval(10), [2, 9])
         with pytest.raises(ParameterError):
             rewindow(a, 9)
+        with pytest.raises(ParameterError, match="expects an interval set"):
+            rewindow(gset(Product(3, 2), [(0, 1)]), 9)
 
 
 class TestDetectBad:
@@ -256,6 +264,10 @@ class TestDetectBad:
     def test_too_small_for_configuration(self):
         s = gset(Interval(10), [1, 2, 3])
         assert detect_bad(s, 2, 2).elems == ()
+        with pytest.raises(ParameterError, match="expects an interval set"):
+            detect_bad(gset(Product(3, 2), [(0, 1)]), 2, 2)
+        with pytest.raises(ParameterError, match="need h >= 2 and g >= 2"):
+            detect_bad(s, 1, 2)
 
     @given(st.lists(st.integers(0, 39), min_size=1, max_size=16, unique=True),
            st.sampled_from([(2, 2), (2, 3), (3, 2)]))

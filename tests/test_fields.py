@@ -1,3 +1,6 @@
+import math
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,7 @@ from chgsets import (
     norm,
     quadratic_character,
 )
-from chgsets.fields import _prime_factors, primitive_element
+from chgsets.fields import _prime_factors, is_poly_irreducible, primitive_element
 
 
 def ext_add(field, a, b):
@@ -46,6 +49,26 @@ class TestIrreducible:
         assert find_irreducible(3, 2) == (1, 0, 1)  # t^2 + 1
         assert find_irreducible(2, 3) == (1, 1, 0, 1)  # t^3 + t + 1
         assert find_irreducible(2, 4) == (1, 1, 0, 0, 1)  # t^4 + t + 1
+        assert find_irreducible(19, 2) == (1, 0, 1)  # t^2 + 1
+        assert find_irreducible(3, 3) == (1, 2, 0, 1)  # t^3 + 2t + 1
+        assert find_irreducible(2, 12) == (1, 0, 0, 1) + (0,) * 8 + (1,)  # t^12 + t^3 + 1
+        assert find_irreducible(7, 4) == (1, 1, 0, 0, 1)  # t^4 + t + 1
+        assert find_irreducible(3, 7) == (2, 0, 1, 0, 0, 0, 0, 1)  # t^7 + t^2 + 2
+
+    @pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 5), (5, 4), (7, 3)])
+    def test_count_matches_gauss(self, q, max_deg):
+        # (1/d) sum_{e | d} mu(e) q^(d/e) monic irreducibles of degree d
+        # (Lidl & Niederreiter, *Finite Fields*, ch. 3)
+        def mobius(e):
+            primes = _prime_factors(e)
+            squarefree = math.prod(primes) == e
+            return (-1) ** len(primes) if squarefree else 0
+
+        assert not is_poly_irreducible(q, (1,))  # units are not irreducible
+        for d in range(1, max_deg + 1):
+            found = sum(is_poly_irreducible(q, (*c, 1)) for c in product(range(q), repeat=d))
+            gauss = sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+            assert found == gauss
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
@@ -54,6 +77,17 @@ class TestIrreducible:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):
             ExtField(2, 2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over F_2
+
+    @pytest.mark.parametrize("q,h,modulus,message", [
+        (4, 2, (1, 1, 1), "base 4 is not prime"),
+        (2, 1, (1, 1), "extension degree must be >= 2"),
+        (2, 2, (1, 1, 1, 1), "is not monic of degree 2"),
+        (2, 2, (1, 1, 2), "is not monic of degree 2"),
+        (2, 2, (1, 3, 1), "out of range mod 2"),
+    ])
+    def test_malformed_field_rejected(self, q, h, modulus, message):
+        with pytest.raises(ParameterError, match=message):
+            ExtField(q, h, modulus)
 
     def test_nonprime_base_rejected(self):
         with pytest.raises(ParameterError):

@@ -307,6 +307,10 @@ class TestValidation:
             gset(Product(3, 2), [(1, 2, 0)])
         with pytest.raises(ParameterError):
             gset(Interval(5), [-1])
+        with pytest.raises(ParameterError, match="out of range for"):
+            gset(Product(3, 2), [(1, 3)])
+        with pytest.raises(ParameterError, match="expected an int element"):
+            gset(Cyclic(5), ["1"])
 
     def test_gset_sorts_and_dedupes(self):
         xs = gset(Interval(10), [5, 2, 5, 9])

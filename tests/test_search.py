@@ -138,6 +138,8 @@ class TestGreedy:
 
     def test_singleton(self):
         assert greedy_chg(1, 2, 2).elems == (0,)
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            greedy_chg(0, 2, 2)
 
     def test_never_beats_exact(self):
         for n_max, h in ((19, 2), (14, 3)):

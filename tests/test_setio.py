@@ -32,6 +32,8 @@ class TestGroupStrings:
         for text in ("ring:5", "cyclic:x", "product:3", "interval:0", ""):
             with pytest.raises(ParameterError):
                 group_from_string(text)
+        with pytest.raises(ParameterError, match="unknown group 'cyclic:7'"):
+            group_to_string("cyclic:7")
 
 
 class TestSetFiles:
@@ -39,6 +41,8 @@ class TestSetFiles:
         a = gset(Interval(5), [0, 1, 4])
         text = set_to_text(a)
         assert text == "# group=interval:5\n1\n2\n5\n"
+        with pytest.raises(ParameterError, match="does not fit the 1-based window 1..5"):
+            set_to_text(gset(Interval(5), [0, 5]))
 
     def test_product_format(self):
         a = gset(Product(3, 2), [(0, 1), (2, 2)])
@@ -65,6 +69,8 @@ class TestSetFiles:
     def test_missing_header(self):
         with pytest.raises(ParameterError):
             set_from_text("1\n2\n")
+        with pytest.raises(ParameterError, match="missing its '# group=' header"):
+            set_from_text("# a comment\n")
 
     def test_out_of_window_value(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from chgsets import (
-    BoundReport,
     Cyclic,
     ExtField,
     GSet,
@@ -36,7 +35,6 @@ def _values():
         "verdict": Verdict(False, Witness(pattern, (0, 2))),
         "zmatrix": build_zmatrix(host),
         "search_result": SearchResult(4, 2, 2, 3, gset(Interval(4), [0, 1, 3]), 9, True),
-        "bound_report": BoundReport.compute(100, 2, 2),
         "ext_field": ext_field(3, 2),
     }
 
@@ -105,7 +103,6 @@ class TestConstruction:
     def test_keywords_and_defaults(self):
         assert Verdict(holds=True) == Verdict(True) == Verdict(True, None)
         assert GSet(group=Cyclic(3), elems=(1,)) == GSet(Cyclic(3), (1,))
-        assert BoundReport.compute(100, 2, 2).zarankiewicz is None
 
     @pytest.mark.parametrize("args,kwargs", [
         ((), {}),
