@@ -26,15 +26,14 @@ _EXPORTS = {
     "errors": ("ParameterError", "ResourceCapError", "RetryExhaustedError"),
     "fields": ("ExtField", "ext_field", "ext_mul", "ext_pow", "find_irreducible", "is_prime",
                "iter_field", "norm", "quadratic_character"),
-    "groups": ("Cyclic", "GSet", "Interval", "PatternClass", "Product", "add", "canonicalize",
-               "elem_from_key", "elem_key", "enumerate_pattern_classes", "gset", "iter_elements",
-               "order", "sub", "zero"),
+    "groups": ("Cyclic", "GSet", "Interval", "PatternClass", "Product", "elem_from_key",
+               "elem_key", "enumerate_pattern_classes", "gset", "iter_elements", "order", "sub"),
     "rng": ("RNG_NAME", "RNG_VERSION", "SplitMix64"),
     "search": ("SearchResult", "greedy_chg", "max_chg_exact", "max_table"),
     "setio": ("group_from_string", "group_to_string", "pbm_text", "read_set", "set_from_text",
               "set_to_text", "write_pbm", "write_set", "zmatrix_summary"),
     "verify": ("Verdict", "Witness", "ZMatrix", "build_zmatrix", "check_kgh_free",
-               "check_kgh_params", "interval_to_cyclic", "verify_chg", "verify_weak_chg"),
+               "check_kgh_params", "verify_chg", "verify_weak_chg"),
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names}
 

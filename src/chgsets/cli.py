@@ -149,7 +149,7 @@ def _cmd_construct_norm(args) -> dict:
     check_cap("subset cap", args.subset_cap)
     gs, guarantee = norm_set(args.q, args.h)
     if args.embed:
-        gs = freiman_embed(2 * args.q, gs)
+        gs = freiman_embed(gs)
         window = 2 ** (args.h - 1) * args.q**args.h
         gs = rewindow(gs, window)
     return _constructed("construct norm",

@@ -6,7 +6,7 @@
 * norm sets: norm-1 elements of F_{q^h}, read additively into Z_q^h; these
   are C_h[h!+1] with exactly (q^h - 1)/(q - 1) points.
 * the carry-free digit map phi(x) = x1 + base*x2 + base^2*x3 + ... with
-  base >= twice the digit modulus, which transports either family into an
+  base twice the digit modulus, which transports either family into an
   integer interval without disturbing any sum of two elements.
 * a classic quadratic Sidon baseline for h = 2 sanity checks.
 * the random sample-then-delete construction of weak C_h[g]-sets.
@@ -149,19 +149,18 @@ def _packed_times(field, group, y):
     return lambda k: reduce([lead[k >> split] + trail[k & low]])[0]
 
 
-def freiman_embed(base: int, xs: GSet) -> GSet:
-    """Digit map x -> x1 + base*x2 + ... + base^(d-1)*xd into an interval.
+def freiman_embed(xs: GSet) -> GSet:
+    """Digit map x -> x1 + base*x2 + ... + base^(d-1)*xd into an interval,
+    with base 2q for the modulus q of the set's group.
 
-    Requires base >= 2 * modulus so that adding two images never carries;
-    that makes the map transport all two-element sums faithfully in both
-    directions.  The image window is exactly large enough for the digit
-    range.
+    With base 2q adding two images never carries; that makes the map
+    transport all two-element sums faithfully in both directions.  The
+    image window is exactly large enough for the digit range.
     """
     if not isinstance(xs.group, Product):
         raise ParameterError("freiman_embed expects a product-group set")
     m, d = xs.group.q, xs.group.d
-    if base < 2 * m:
-        raise ParameterError(f"base {base} < 2*{m}: digit sums would carry")
+    base = 2 * m
     weights = [base**i for i in range(d)]
     values = [sum(c * w for c, w in zip(x, weights)) for x in xs.elems]
     if len(set(values)) != len(values):
@@ -202,7 +201,7 @@ def embedded_c33(n: int, p: int | None = None) -> GSet:
         p = largest_prime_cube_fit(n)
     elif 4 * p**3 > n:
         raise ParameterError(f"4*{p}^3 does not fit window {n}")
-    image = freiman_embed(2 * p, sphere_set(p))
+    image = freiman_embed(sphere_set(p))
     result = rewindow(image, n)
     if len(result) < p * p - p:
         raise RuntimeError("embedded sphere lost elements (impossible)")

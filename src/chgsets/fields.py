@@ -162,9 +162,6 @@ class ExtField(Value):
     def size(self) -> int:
         return self.q**self.h
 
-    def zero(self):
-        return (0,) * self.h
-
     def one(self):
         return (1,) + (0,) * (self.h - 1)
 

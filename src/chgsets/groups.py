@@ -25,7 +25,6 @@ difference table; deeper levels intersect offset rows kept as int bitmasks
 over the surviving differences, so the work and the memory follow the
 host's differences, never the size of the ambient.  A caller that needs one
 witness (``stop``) ends the search at the first class with enough offsets.
-``canonicalize`` takes its minimum over the |X| candidate shifts directly.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -89,12 +88,6 @@ def order(group) -> int:
     return group.n
 
 
-def zero(group):
-    if isinstance(group, Product):
-        return (0,) * group.d
-    return 0
-
-
 def validate_elem(group, e):
     """Check canonical form for the group kind; return the element."""
     if isinstance(group, Product):
@@ -111,20 +104,6 @@ def validate_elem(group, e):
     elif e < 0:
         raise ParameterError(f"interval elements must be >= 0, got {e}")
     return e
-
-
-def add(group, a, b):
-    """Group addition; plain integer addition for intervals."""
-    if isinstance(group, Product):
-        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == group.d):
-            raise ParameterError(f"dimension mismatch adding {a!r} + {b!r} in {group}")
-        q = group.q
-        return tuple((x + y) % q for x, y in zip(a, b))
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        raise ParameterError(f"dimension mismatch adding {a!r} + {b!r} in {group}")
-    if isinstance(group, Cyclic):
-        return (a + b) % group.n
-    return a + b
 
 
 def sub(group, a, b):
@@ -217,31 +196,11 @@ class GSet(Value):
     def __iter__(self):
         return iter(self.elems)
 
-    def __contains__(self, e):
-        return e in self.elems
-
 
 def gset(group, elems) -> GSet:
     """Build a GSet: validates, deduplicates, sorts."""
     uniq = sorted({validate_elem(group, e) for e in elems})
     return GSet(group, tuple(uniq))
-
-
-def canonicalize(xs: GSet):
-    """Canonical representative of the translation class of X.
-
-    Returns ``(pattern, shift)`` with ``pattern = X - shift``: the
-    lexicographically smallest X - x over x in X (X - min X for intervals),
-    compared as sorted element keys, and the smallest x that gives it.
-    """
-    group, elems = xs.group, xs.elems
-    if not elems:
-        raise ParameterError("cannot canonicalize an empty set")
-    shifts = elems[:1] if isinstance(group, Interval) else elems
-    keys = [elem_key(group, x) for x in elems]
-    rows = diff_rows(group, keys[: len(shifts)], keys)
-    keys, shift = min(zip(map(sorted, rows), shifts))
-    return GSet(group, tuple(elem_from_key(group, k) for k in keys)), shift
 
 
 class PatternClass(Value):

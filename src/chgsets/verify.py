@@ -24,13 +24,11 @@ from .errors import (
     check_hg,
 )
 from .groups import (
-    Cyclic,
     GSet,
     Interval,
     diff_rows,
     elem_key,
     enumerate_pattern_classes,
-    gset,
     iter_elements,
     order,
     sub,
@@ -79,9 +77,27 @@ def verify_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CA
 def find_disjoint_translates(pattern: GSet, shifts, g: int):
     """Lexicographically first g shifts whose translates of ``pattern`` are
     pairwise disjoint, or None.  Translates at offsets b, c are disjoint
-    exactly when b - c avoids the pattern's difference set."""
+    exactly when b - c avoids the pattern's difference set.
+
+    Before the search, a greedy pass covers the shifts with groups whose
+    translates overlap pairwise; each group holds at most one of the g, so
+    fewer than g groups means there is no answer.  Shifts with the same
+    translate always join one group, so a class with fewer than g distinct
+    translates, such as a periodic one, never reaches the search."""
     group = pattern.group
     diffs = {sub(group, x, y) for x in pattern for y in pattern}
+    cover: list = []
+    for b in shifts:
+        if len(cover) == g:
+            break
+        for overlapping in cover:
+            if all(sub(group, b, c) in diffs for c in overlapping):
+                overlapping.append(b)
+                break
+        else:
+            cover.append([b])
+    if len(cover) < g:
+        return None
     chosen: list = []
 
     def rec(start: int) -> bool:
@@ -202,13 +218,3 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
     pattern = GSet(zm.source.group, tuple(zm.elements[j] for j in combo))
     return Verdict(False, Witness(pattern, tuple(zm.elements[i] for i in rows)))
 
-
-def interval_to_cyclic(target: GSet) -> GSet:
-    """Read an interval set A of window size n into Z_{2n}, via its 1-based
-    values.  Its plain and weak verdicts here equal those in Z: two elements
-    of A are closer than n, so a translate that stays in A wraps none of
-    them.  The tests check this; no verdict path assumes it."""
-    if not isinstance(target.group, Interval):
-        raise ParameterError("interval_to_cyclic needs an interval set")
-    n = target.group.n
-    return gset(Cyclic(2 * n), [(a + 1) % (2 * n) for a in target.elems])

@@ -10,7 +10,16 @@ window of the set.
 
 from itertools import combinations
 
-from chgsets import GSet, Interval, add, gset, iter_elements
+from chgsets import Cyclic, GSet, Interval, Product, gset, iter_elements
+
+
+def add(group, a, b):
+    """a + b: coordinatewise mod q in Z_q^d, mod n in Z_n, plain in Z."""
+    if isinstance(group, Product):
+        return tuple((x + y) % group.q for x, y in zip(a, b))
+    if isinstance(group, Cyclic):
+        return (a + b) % group.n
+    return a + b
 
 
 def translate(xs, k):

@@ -87,11 +87,11 @@ def test_criterion_04_digit_map_transfer():
         assert violations == 0
     # embedded sets re-pass full verification in Z
     for p in (3, 5, 7, 11, 13):
-        image = freiman_embed(2 * p, sphere_set(p))
+        image = freiman_embed(sphere_set(p))
         assert verify_chg(image, 3, 3).holds
     for q, h in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3)):
         a, guarantee = norm_set(q, h)
-        image = freiman_embed(2 * q, a)
+        image = freiman_embed(a)
         assert verify_chg(image, h, guarantee).holds
     _announce(4, "digit map transfer", started)
 

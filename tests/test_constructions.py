@@ -131,25 +131,22 @@ class TestFreimanEmbed:
     def test_digit_examples(self):
         g = Product(3, 2)
         xs = gset(g, [(2, 1)])
-        assert freiman_embed(6, xs).elems == (8,)
-        assert freiman_embed(6, gset(g, [(0, 0)])).elems == (0,)
+        assert freiman_embed(xs).elems == (8,)
+        assert freiman_embed(gset(g, [(0, 0)])).elems == (0,)
 
     def test_quadruple_example(self):
         phi = lambda x: x[0] + 6 * x[1]
         x, y, z, t = (1, 0), (2, 2), (2, 1), (1, 1)
         assert phi(x) + phi(y) == phi(z) + phi(t) == 15
 
-    def test_base_too_small_rejected(self):
-        g = Product(3, 2)
-        with pytest.raises(ParameterError):
-            freiman_embed(5, gset(g, [(0, 0)]))
+    def test_non_product_rejected(self):
         with pytest.raises(ParameterError, match="expects a product-group set"):
-            freiman_embed(6, gset(Interval(5), [0]))
+            freiman_embed(gset(Interval(5), [0]))
 
     def test_injective(self):
         g = Product(3, 3)
         xs = gset(g, [(a, b, c) for a in range(3) for b in range(3) for c in range(3)])
-        assert len(freiman_embed(6, xs)) == 27
+        assert len(freiman_embed(xs)) == 27
 
     @given(st.sampled_from([(3, 2), (5, 3), (7, 3)]), st.data())
     @settings(max_examples=40)
@@ -174,13 +171,13 @@ class TestFreimanEmbed:
     @pytest.mark.parametrize("q,h", [(2, 2), (3, 2), (2, 3)])
     def test_embedded_norm_set_reverifies(self, q, h):
         a, guarantee = norm_set(q, h)
-        image = freiman_embed(2 * q, a)
+        image = freiman_embed(a)
         assert len(image) == len(a)
         assert verify_chg(image, h, guarantee).holds
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_embedded_sphere_reverifies(self, p):
-        image = freiman_embed(2 * p, sphere_set(p))
+        image = freiman_embed(sphere_set(p))
         assert verify_chg(image, 3, 3).holds
 
 
@@ -213,7 +210,7 @@ class TestEmbeddedC33:
 
     @pytest.mark.parametrize("n,p", [(108, 3), (200, 3), (500, 5), (5000, 7), (5488, 11)])
     def test_explicit_prime(self, n, p):
-        want = rewindow(freiman_embed(2 * p, sphere_set(p)), n)
+        want = rewindow(freiman_embed(sphere_set(p)), n)
         assert embedded_c33(n, p) == want
         if largest_prime_cube_fit(n) == p:
             assert embedded_c33(n) == want

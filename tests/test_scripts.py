@@ -46,3 +46,19 @@ def test_weak_set_experiment():
                       "--seeds", "2")
     assert proc.returncode == 0, proc.stderr
     assert "2/2 seeds accepted" in proc.stdout
+
+
+def test_src_lines(tmp_path):
+    (tmp_path / "doc_only.py").write_text('"""A module docstring,\n\nover three lines."""\n')
+    (tmp_path / "mixed.py").write_text(
+        '"""Doc."""\n\n# a comment\nimport os\n\n\nclass A:\n    """Doc."""\n\n'
+        '    def f(self):\n        """Doc\n        more."""\n        return (1,\n'
+        '                2)  # trailing\n')
+    proc = run_script("src_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    counts = {name: (int(lines), int(code)) for name, lines, code in rows}
+    assert counts == {"doc_only.py": (3, 0), "mixed.py": (14, 5)}
+    assert total[0] == "total"
+    assert [int(x) for x in total[1:]] == [sum(c[i] for c in counts.values()) for i in (0, 1)]

@@ -1,7 +1,12 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,12 +17,10 @@ from chgsets import (
     ParameterError,
     Product,
     ResourceCapError,
-    add,
     build_zmatrix,
     check_kgh_free,
     enumerate_pattern_classes,
     gset,
-    interval_to_cyclic,
     iter_elements,
     norm_set,
     order,
@@ -25,15 +28,19 @@ from chgsets import (
     sub,
     verify_chg,
     verify_weak_chg,
+    write_set,
 )
 from chgsets.verify import Witness, ZMatrix, check_kgh_params, find_disjoint_translates
 from oracles import (
+    add,
     naive_first_block,
     naive_is_chg_group,
     naive_is_chg_interval,
     naive_is_weak_chg_group,
     naive_is_weak_chg_interval,
 )
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def small_group_set():
@@ -480,6 +487,62 @@ class TestVerifyWeak:
         assert verify_weak_chg(a, 2, 2).holds == expected
 
 
+COSET_GROUPS = [Product(2, 4), Product(4, 2), Cyclic(16)]
+
+
+@st.composite
+def coset_unions(draw):
+    """A union of cosets of the subgroup that one or two drawn elements
+    generate: sets whose translates overlap in whole cosets, where the weak
+    search's greedy bound prunes."""
+    group = draw(st.sampled_from(COSET_GROUPS))
+    ambient = list(iter_elements(group))
+    gens = draw(st.lists(st.sampled_from(ambient), min_size=1, max_size=2))
+    subgroup = {ambient[0]}
+    for _ in ambient:  # each round grows the subgroup or leaves it closed
+        subgroup |= {add(group, s, t) for s in subgroup for t in gens}
+    reps = draw(st.lists(st.sampled_from(ambient), min_size=1, max_size=4))
+    return gset(group, {add(group, r, s) for r in reps for s in subgroup})
+
+
+def first_disjoint_by_scan(pattern, shifts, g):
+    """The first of ``combinations(shifts, g)`` whose translates are
+    pairwise disjoint, or None."""
+    translates = [{add(pattern.group, x, k) for x in pattern.elems} for k in shifts]
+    for combo in combinations(range(len(shifts)), g):
+        if all(translates[i].isdisjoint(translates[j]) for i, j in combinations(combo, 2)):
+            return tuple(shifts[i] for i in combo)
+    return None
+
+
+class TestWeakOnCosetUnions:
+    @given(coset_unions(), st.sampled_from([(2, 3), (3, 3), (3, 4), (3, 5)]))
+    def test_disjoint_translates_match_scan(self, a, hg):
+        h, g = hg
+        for pc in enumerate_pattern_classes(a, h, g):
+            assert (find_disjoint_translates(pc.pattern, pc.bases, g)
+                    == first_disjoint_by_scan(pc.pattern, pc.bases, g))
+
+    @given(coset_unions(), st.integers(3, 5))
+    def test_weak_verdict_matches_naive(self, a, g):
+        assert verify_weak_chg(a, 3, g).holds == naive_is_weak_chg_group(a.group, a.elems, 3, g)
+
+    def test_whole_group_from_the_cli(self, tmp_path):
+        # every 3-pattern of Z_2^5 has all 32 offsets, and translates overlap
+        # exactly within a coset of the order-4 subgroup the pattern spans,
+        # so at most 8 are disjoint; the greedy bound answers at once
+        group = Product(2, 5)
+        path = tmp_path / "z2_5.txt"
+        write_set(path, gset(group, iter_elements(group)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chgsets", "verify", "--set", str(path), "--h", "3", "--g", "9",
+             "--weak"], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"]["holds"] is True
+
+
 class TestZMatrix:
     def test_singleton_gives_permutation(self):
         g = Cyclic(3)
@@ -607,25 +670,16 @@ class TestKghFree:
 
 
 class TestIntervalToCyclic:
-    def test_values_preserved(self):
-        a = interval_set([0, 1, 4], 5)  # 1-based {1,2,5}
-        img = interval_to_cyclic(a)
-        assert img.group == Cyclic(10)
-        assert img.elems == (1, 2, 5)
-
-    def test_top_element(self):
-        a = interval_set([4], 5)  # 1-based {5}
-        assert interval_to_cyclic(a).elems == (5,)
-
     @given(st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
            st.sampled_from([(2, 2), (2, 3), (3, 3)]))
     def test_property_transfers_empirically(self, elems, hg):
-        # A lies in [1, 12] of Z_24: two of its elements are closer than 12,
-        # so a translate that stays in [1, 12] wraps none of them and is an
-        # integer translate; both verdicts agree in both directions
+        # A read via its 1-based values lies in [1, 12] of Z_24: two of its
+        # elements are closer than 12, so a translate that stays in [1, 12]
+        # wraps none of them and is an integer translate; both verdicts
+        # agree in both directions
         h, g = hg
         a = interval_set(elems, 12)
-        img = interval_to_cyclic(a)
+        img = gset(Cyclic(24), [x + 1 for x in elems])
         for check in (verify_chg, verify_weak_chg):
             assert check(a, h, g).holds == check(img, h, g).holds
 
