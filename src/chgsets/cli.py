@@ -223,9 +223,9 @@ def _cmd_zmatrix(args) -> dict:
     _load(*_SETS)
     check_cap("order cap", args.order_cap)
     gs = read_set(args.set)
-    check_kgh_params(gs.group, args.g, args.h, subset_cap=args.subset_cap)
+    check_kgh_params(gs, args.h, args.g, subset_cap=args.subset_cap)
     zm = build_zmatrix(gs, order_cap=args.order_cap)
-    verdict = check_kgh_free(zm, args.g, args.h, subset_cap=args.subset_cap)
+    verdict = check_kgh_free(zm, args.h, args.g, subset_cap=args.subset_cap)
     if args.pbm:
         write_pbm(args.pbm, zm)
     return _report("zmatrix", {"set": args.set, "g": args.g, "h": args.h, "pbm": args.pbm},

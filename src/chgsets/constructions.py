@@ -8,7 +8,6 @@
 * the carry-free digit map phi(x) = x1 + base*x2 + base^2*x3 + ... with
   base twice the digit modulus, which transports either family into an
   integer interval without disturbing any sum of two elements.
-* a classic quadratic Sidon baseline for h = 2 sanity checks.
 * the random sample-then-delete construction of weak C_h[g]-sets.
 """
 
@@ -206,14 +205,6 @@ def embedded_c33(n: int, p: int | None = None) -> GSet:
     if len(result) < p * p - p:
         raise RuntimeError("embedded sphere lost elements (impossible)")
     return result
-
-
-def sidon_baseline(p: int) -> GSet:
-    """The p-point quadratic Sidon set {2pi + (i^2 mod p)} in a window of
-    size 2p^2 -- a C_2[2] baseline for h = 2 sanity checks."""
-    if not is_prime(p):
-        raise ParameterError(f"need a prime, got {p}")
-    return gset(Interval(2 * p * p), [2 * p * i + (i * i) % p for i in range(p)])
 
 
 # ---------------------------------------------------------------------------

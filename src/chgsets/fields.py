@@ -158,10 +158,6 @@ class ExtField(Value):
         if not is_poly_irreducible(self.q, m):
             raise ParameterError(f"modulus {m} is reducible over F_{self.q}")
 
-    @property
-    def size(self) -> int:
-        return self.q**self.h
-
     def one(self):
         return (1,) + (0,) * (self.h - 1)
 
@@ -200,7 +196,7 @@ def iter_field(field: ExtField):
 def primitive_element(field: ExtField):
     """The first generator of the multiplicative group in ``iter_field``
     order: x != 0 with x^((q^h - 1)/r) != 1 for every prime r | q^h - 1."""
-    order = field.size - 1
+    order = field.q**field.h - 1
     cofactors = [order // r for r in _prime_factors(order)]
     one = field.one()
     for x in iter_field(field):

@@ -21,10 +21,11 @@ in key order and carries each prefix's offsets, the host elements k with
 k + prefix inside the host.  A class is kept by its offset count, the g of
 the C_h[g] definition; offsets only shrink as a pattern grows, so a prefix
 with fewer offsets than wanted is pruned.  The first level comes from the
-difference table; deeper levels intersect offset rows kept as int bitmasks
-over the surviving differences, so the work and the memory follow the
-host's differences, never the size of the ambient.  A caller that needs one
-witness (``stop``) ends the search at the first class with enough offsets.
+difference table; one pass over each element's differences lists offsets
+and, for h > 2, builds the int bitmask rows that deeper levels intersect,
+so the work and the memory follow the host's differences, never the size
+of the ambient.  A caller that needs one witness (``stop``) ends the search
+at the first class with enough offsets.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -255,10 +256,10 @@ def _pattern_classes(host: GSet, h: int, least: int):
 
     Level 1 comes from the difference table (``diff_rows``): one pass
     counts each difference d, the offset count of {0, d}, and keeps those
-    reaching ``least``.  A second pass intersects each element k's
-    differences with level 1 once and lists k among the offsets of each
-    hit; for h > 2 it also sets the hits' bits in one ``bytearray``, k's
-    row: an int bitmask over level 1, bit j set when k + d_j is in the host.
+    reaching ``least``.  A second pass, one loop for every h, intersects
+    each element k's differences with level 1 once and lists k among the
+    offsets of each hit; for h > 2 it also sets the hits' bits in k's row,
+    an int bitmask over level 1, bit j set when k + d_j is in the host.
     Carry-save counters over a node's rows give the children with enough
     offsets.  Mask widths follow the differences, never the ambient.
 
@@ -286,22 +287,20 @@ def _pattern_classes(host: GSet, h: int, least: int):
         diffs = table.__getitem__
         level = table
     level1 = sorted(d for d, c in Counter(chain.from_iterable(level)).items() if c >= least and d)
+    index = {d: j for j, d in enumerate(level1)}
     offsets = [[] for _ in level1]
-    if h == 2:
-        slot = dict(zip(level1, offsets))
-        for i in range(m):
-            for offs in map(slot.__getitem__, slot.keys() & diffs(i)):
-                offs.append(i)
-    else:
-        index = {d: j for j, d in enumerate(level1)}
-        width = (len(level1) + 7) // 8
-        rows = []
-        for i in range(m):
+    width = (len(level1) + 7) // 8
+    rows = []
+    for i in range(m):
+        hits = map(index.__getitem__, index.keys() & diffs(i))
+        if h > 2:
+            hits = list(hits)
             bits = bytearray(width)
-            for j in map(index.__getitem__, index.keys() & diffs(i)):
-                offsets[j].append(i)
+            for j in hits:
                 bits[j >> 3] |= 1 << (j & 7)
             rows.append(int.from_bytes(bits, "little"))
+        for j in hits:
+            offsets[j].append(i)
 
     def emit(digits, offs):
         anchored = [0, *digits]

@@ -172,18 +172,19 @@ def build_zmatrix(target: GSet, order_cap: int = DEFAULT_ORDER_CAP) -> ZMatrix:
     return ZMatrix(n, tuple(rows), elements, target)
 
 
-def check_kgh_params(group, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
-    """Reject a K_{g,h} check on the sum matrix of ``group`` before the
-    matrix is built: parameter errors first, then the column cap."""
+def check_kgh_params(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
+    """Reject a K_{g,h} check on the sum matrix of ``target`` before the
+    matrix is built: parameter errors first, then the column cap.  Like
+    ``verify_chg`` it takes h, then g >= h, so a (g, h) call is refused."""
     check_hg(h, g)
     check_cap("subset cap", subset_cap)
-    _require_group(group)
-    n = order(group)
+    _require_group(target.group)
+    n = order(target.group)
     if math.comb(n, h) * n > subset_cap:
         raise ResourceCapError(f"column enumeration exceeds cap {subset_cap}")
 
 
-def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
+def check_kgh_free(zm: ZMatrix, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:
     """Holds iff no g x h all-ones submatrix exists (g rows, h columns).
 
     Walks the h-subsets of columns (h <= g makes that the cheap side)
@@ -197,7 +198,7 @@ def check_kgh_free(zm: ZMatrix, g: int, h: int, subset_cap: int = DEFAULT_SUBSET
     C - min C holds column 0 and sorts no later than C.  So the walk starts
     at column 0 and visits C(n - 1, h - 1) column sets, not C(n, h).
     """
-    check_kgh_params(zm.source.group, g, h, subset_cap)
+    check_kgh_params(zm.source, h, g, subset_cap)
     n = zm.n
     cols = zm.rows
 

@@ -205,7 +205,7 @@ def as_interval_set(elems, n=None):
     return gset(Interval(n), elems)
 
 
-def naive_first_block(group, elems, g, h):
+def naive_first_block(group, elems, h, g):
     """The first all-ones g x h block of the sum matrix, from its entries:
     the lexicographically first h columns (in ``iter_elements`` order) that
     g rows b meet with every b + c in the set, and the first g such rows.
@@ -217,3 +217,9 @@ def naive_first_block(group, elems, g, h):
         if len(rows) >= g:
             return cols, tuple(rows[:g])
     return None
+
+
+def sidon_baseline(p):
+    """The p-point quadratic Sidon set {2pi + (i^2 mod p)} in a window of
+    size 2p^2, for p prime: a known C_2[2] set for h = 2 checks."""
+    return gset(Interval(2 * p * p), [2 * p * i + (i * i) % p for i in range(p)])

@@ -176,7 +176,7 @@ def test_criterion_08_zarankiewicz_correspondence():
     assert row_sums == {4}
     ones = sum(row.bit_count() for row in zm.rows)
     assert ones == 36  # n * |A|, the witness for the matrix inequality
-    assert check_kgh_free(zm, 3, 2).holds
+    assert check_kgh_free(zm, 2, 3).holds
     assert ones <= zarankiewicz_bound(9, 9, 3, 2)
     assert abs(zarankiewicz_bound(9, 9, 3, 2) - 63.0) <= 1e-9
     _announce(8, "zarankiewicz correspondence", started)

@@ -137,7 +137,8 @@ class TestBoundRespect:
             assert len(a) <= group_bound(order(a.group), h, guarantee)
 
     def test_interval_constructions_within_doubled_window_bound(self):
-        from chgsets import embedded_c33, sidon_baseline
+        from chgsets import embedded_c33
+        from oracles import sidon_baseline
 
         for n in (108, 500):
             a = embedded_c33(n)

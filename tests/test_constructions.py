@@ -20,7 +20,6 @@ from chgsets import (
     norm_set,
     quadratic_character,
     rewindow,
-    sidon_baseline,
     sphere_alpha,
     sphere_set,
     verify_chg,
@@ -28,7 +27,7 @@ from chgsets import (
     weak_random_set,
 )
 from chgsets.fields import DEFAULT_FIELD_CAP, ext_mul, ext_pow, primitive_element
-from oracles import naive_bad_elements
+from oracles import naive_bad_elements, sidon_baseline
 
 # every (q, h) with q prime, h >= 2 and q^h under the default field cap
 FIELD_PAIRS = [
@@ -225,8 +224,6 @@ class TestSidonBaseline:
     def test_small_values(self):
         assert sidon_baseline(2).elems == (0, 5)
         assert sidon_baseline(3).elems == (0, 7, 13)
-        with pytest.raises(ParameterError, match="need a prime, got 4"):
-            sidon_baseline(4)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_verifies_sidon(self, p):

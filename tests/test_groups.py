@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from chgsets import (
     Cyclic,
@@ -45,6 +45,12 @@ def group_and_set():
         )
 
     return groups_strategy().flatmap(build)
+
+
+# whole groups whose level-1 differences are all dense: every d = -d in
+# Z_2^4, and in both every difference has 16 offsets
+WHOLE_PRODUCT_2_4 = (Product(2, 4), list(iter_elements(Product(2, 4))))
+WHOLE_CYCLIC_16 = (Cyclic(16), list(range(16)))
 
 
 class TestAdd:
@@ -258,6 +264,8 @@ class TestPatternClasses:
         assert enumerate_pattern_classes(gset(g, [0, 3]), 2, 2) == classes
 
     @given(group_and_set(), st.integers(2, 5))
+    @example(WHOLE_PRODUCT_2_4, 2)
+    @example(WHOLE_CYCLIC_16, 2)
     def test_member_count_identity(self, gs, h):
         group, elems = gs
         host = gset(group, elems)
@@ -278,6 +286,8 @@ class TestPatternClasses:
             assert sum(len(pc.bases) for pc in classes) == math.comb(len(host), h)
 
     @given(group_and_set(), st.integers(2, 5))
+    @example(WHOLE_PRODUCT_2_4, 2)
+    @example(WHOLE_CYCLIC_16, 2)
     def test_bases_are_exhaustive(self, gs, h):
         group, elems = gs
         host = gset(group, elems)

@@ -578,7 +578,7 @@ class TestZMatrix:
         with pytest.raises(ParameterError):
             build_zmatrix(a, order_cap=cap)
         with pytest.raises(ParameterError):
-            check_kgh_params(a.group, 2, 2, subset_cap=cap)
+            check_kgh_params(a, 2, 2, subset_cap=cap)
         with pytest.raises(ParameterError):
             check_kgh_free(build_zmatrix(a), 2, 2, subset_cap=cap)
 
@@ -607,7 +607,7 @@ class TestKghFree:
     def test_norm_matrix_k32_free(self):
         a, _ = norm_set(3, 2)
         zm = build_zmatrix(a)
-        assert check_kgh_free(zm, 3, 2).holds
+        assert check_kgh_free(zm, 2, 3).holds
         # independent exhaustive column-pair check
         cols = []
         for j in range(zm.n):
@@ -625,6 +625,14 @@ class TestKghFree:
             for x in w.pattern.elems:
                 assert add(g, k, x) in (0, 1, 2, 3)
 
+    def test_old_argument_order_rejected(self):
+        # (h, g) as in verify_chg: a stale (g, h) call has g < h
+        a, _ = norm_set(3, 2)
+        with pytest.raises(ParameterError, match="need g >= h"):
+            check_kgh_free(build_zmatrix(a), 3, 2)
+        with pytest.raises(ParameterError, match="need g >= h"):
+            check_kgh_params(a, 3, 2)
+
     def test_walk_is_anchored_at_the_zero_column(self):
         # every violating column set has a translate through column 0, so on
         # a K_{3,2}-free matrix the walk tries column 0 with each other
@@ -641,15 +649,15 @@ class TestKghFree:
 
         zm = build_zmatrix(norm_set(19, 2)[0])
         counted = ZMatrix(zm.n, tuple(map(Column, zm.rows)), zm.elements, zm.source)
-        assert check_kgh_free(counted, 3, 2).holds
+        assert check_kgh_free(counted, 2, 3).holds
         assert Column.ands <= zm.n - 1 == 360
 
 
     @given(small_group_set(), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
     def test_witness_is_first_block(self, a, hg):
         h, g = hg
-        block = naive_first_block(a.group, a.elems, g, h)
-        verdict = check_kgh_free(build_zmatrix(a), g, h)
+        block = naive_first_block(a.group, a.elems, h, g)
+        verdict = check_kgh_free(build_zmatrix(a), h, g)
         assert verdict.holds == (block is None)
         if block is not None:
             assert (verdict.witness.pattern.elems, verdict.witness.bases) == block
@@ -661,9 +669,9 @@ class TestKghFree:
         ambient = list(iter_elements(group))
         for size in range(2, len(ambient) + 1):
             a = gset(group, rng.sample(ambient, size))
-            for g, h in ((2, 2), (3, 2), (3, 3), (4, 3)):
-                block = naive_first_block(group, a.elems, g, h)
-                verdict = check_kgh_free(build_zmatrix(a), g, h)
+            for h, g in ((2, 2), (2, 3), (3, 3), (3, 4)):
+                block = naive_first_block(group, a.elems, h, g)
+                verdict = check_kgh_free(build_zmatrix(a), h, g)
                 assert verdict.holds == (block is None)
                 if block is not None:
                     assert (verdict.witness.pattern.elems, verdict.witness.bases) == block
@@ -734,7 +742,7 @@ class TestMatrixConsistency:
         for a, h, g in cases:
             assert verify_chg(a, h, g).holds
             zm = build_zmatrix(a)
-            assert check_kgh_free(zm, g, h).holds
+            assert check_kgh_free(zm, h, g).holds
             ones = sum(row.bit_count() for row in zm.rows)
             assert ones == zm.n * len(a)
 
@@ -744,4 +752,4 @@ class TestMatrixConsistency:
         # the h-set of columns; the lexicographically first such column set
         # contains 0, so it is the least canonical pattern with g offsets
         h, g = hg
-        assert check_kgh_free(build_zmatrix(a), g, h) == verify_chg(a, h, g)
+        assert check_kgh_free(build_zmatrix(a), h, g) == verify_chg(a, h, g)
