@@ -31,8 +31,8 @@ from .fields import (
     ext_mul,
     ext_pow,
     is_prime,
+    iter_field,
     norm,
-    primitive_element,
     quadratic_character,
 )
 from .groups import (
@@ -71,11 +71,9 @@ def sphere_set(p: int, max_order: int = DEFAULT_SPHERE_CAP) -> GSet:
     Exact enumeration via a square-root table; the result always has at
     least p^2 - p points (asserted).
     """
-    if p == 2 or not is_prime(p):
-        raise ParameterError(f"need an odd prime, got {p}")
+    alpha = sphere_alpha(p)  # rejects p that is not an odd prime
     if p**3 > max_order:
         raise ResourceCapError(f"p^3 = {p ** 3} exceeds cap {max_order}")
-    alpha = sphere_alpha(p)
     roots: dict = {}
     for x in range(p):
         roots.setdefault(x * x % p, []).append(x)
@@ -97,32 +95,40 @@ def norm_set(q: int, h: int, max_order: int = DEFAULT_FIELD_CAP):
 
     Returns (set, g) with g = h! + 1: no h-pattern admits more than h!
     offsets inside the set, so it is C_h[h!+1].  The norm-1 elements are
-    the cyclic subgroup generated by step = gamma^(q-1) for a primitive
-    gamma, so they are collected by walking the powers of step, one
-    multiplication on packed keys each (``_packed_times``).  The walk must
-    return to 1 after (q^h - 1)/(q - 1)
-    steps and meet that many distinct elements, so step has exactly that
-    order, which is also the size (both asserted).
+    the cyclic subgroup H of order M = (q^h - 1)/(q - 1), and every
+    step = x^(q-1) lies in H.  Steps are tried for x in ``iter_field``
+    order, and each is walked by one multiplication on packed keys per
+    element (``_packed_times``) until the walk returns to 1.  The first
+    walk that returns after exactly M steps and meets M distinct elements
+    is all of H (asserted), so no generator is needed in advance.
     """
     field = ext_field(q, h, cap=max_order)
-    step = ext_pow(field, primitive_element(field), q - 1)
-    if norm(field, step) != 1:
-        raise RuntimeError(f"gamma^(q-1) has norm != 1 in F_{q}^{h} (broken modulus?)")
     expected = (q**h - 1) // (q - 1)
     # the polynomial-basis coefficient vector is the additive image in Z_q^h
     group = Product(q, h)
-    times_step = _packed_times(field, group, step)
     one = elem_key(group, field.one())
-    keys, x = [], one
-    for _ in range(expected):
-        keys.append(x)
-        x = times_step(x)
-    if x != one:
-        raise RuntimeError(f"norm-1 walk in F_{q}^{h} did not return to 1 after {expected} steps")
-    if len(set(keys)) != expected:
-        raise RuntimeError(f"norm-1 count {len(set(keys))} != {expected} in F_{q}^{h}")
-    keys.sort()  # keys sort like their tuples (``elem_key``)
-    return GSet(group, tuple(elem_from_key(group, k) for k in keys)), math.factorial(h) + 1
+    for x in iter_field(field):
+        # c * x gives the same step for every c in F_q*, so only the x whose
+        # first nonzero coefficient is 1 are tried (0 never is)
+        if next((c for c in x if c), 0) != 1:
+            continue
+        step = ext_pow(field, x, q - 1)
+        if norm(field, step) != 1:
+            raise RuntimeError(f"x^(q-1) has norm != 1 in F_{q}^{h} (broken modulus?)")
+        times_step = _packed_times(field, group, step)
+        keys, y = [one], times_step(one)
+        while y != one:
+            if len(keys) == expected:
+                raise RuntimeError(
+                    f"norm-1 walk in F_{q}^{h} did not return to 1 after {expected} steps")
+            keys.append(y)
+            y = times_step(y)
+        if len(keys) == expected:
+            if len(set(keys)) != expected:
+                raise RuntimeError(f"norm-1 count {len(set(keys))} != {expected} in F_{q}^{h}")
+            keys.sort()  # keys sort like their tuples (``elem_key``)
+            return GSet(group, tuple(elem_from_key(group, k) for k in keys)), math.factorial(h) + 1
+    raise RuntimeError(f"no step of order {expected} in F_{q}^{h} (broken modulus?)")
 
 
 def _packed_times(field, group, y):

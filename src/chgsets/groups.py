@@ -79,9 +79,6 @@ class Interval(Value):
             raise ParameterError(f"interval size must be >= 1, got {self.n}")
 
 
-Group = Cyclic | Product | Interval
-
-
 def order(group) -> int:
     """Ambient size: group order, or the interval window size."""
     if isinstance(group, Product):

@@ -17,7 +17,7 @@ from chgsets import (
     norm,
     quadratic_character,
 )
-from chgsets.fields import _prime_factors, is_poly_irreducible, primitive_element
+from chgsets.fields import is_poly_irreducible
 from oracles import add
 
 
@@ -60,7 +60,7 @@ class TestIrreducible:
         # (1/d) sum_{e | d} mu(e) q^(d/e) monic irreducibles of degree d
         # (Lidl & Niederreiter, *Finite Fields*, ch. 3)
         def mobius(e):
-            primes = _prime_factors(e)
+            primes = [r for r in range(2, e + 1) if e % r == 0 and is_prime(r)]
             squarefree = math.prod(primes) == e
             return (-1) ** len(primes) if squarefree else 0
 
@@ -146,30 +146,6 @@ class TestNorm:
         field = ext_field(q, h)
         images = {norm(field, x) for x in iter_field(field)}
         assert images == set(range(q))
-
-
-class TestPrimitiveElement:
-    def test_prime_factors(self):
-        assert _prime_factors(1) == []
-        assert _prime_factors(4095) == [3, 5, 7, 13]
-        assert _prime_factors(2**11 - 1) == [23, 89]
-        assert _prime_factors(3**7 - 1) == [2, 1093]
-
-    @pytest.mark.parametrize("q,h", [(2, 2), (2, 5), (3, 3), (5, 2), (7, 3), (2, 12), (61, 2)])
-    def test_order_is_full(self, q, h):
-        # walk the powers of gamma back to 1: the order must be q^h - 1
-        field = ext_field(q, h)
-        gamma = primitive_element(field)
-        x, k = gamma, 1
-        while x != field.one():
-            x = ext_mul(field, x, gamma)
-            k += 1
-        assert k == q**h - 1
-
-    def test_first_in_scan_order(self):
-        # in F_9 = F_3[t]/(t^2 + 1) the scan meets t and 2t (order 4 each)
-        # and 1 before 1 + t, the first element of order 8
-        assert primitive_element(F9) == (1, 1)
 
 
 class TestAdditiveCoords:
