@@ -58,21 +58,14 @@ def sample_density(n: int, h: int, g: int) -> tuple:
     """Density for the random weak-set construction.
 
     Returns (p, np) where p solves 2pn = n^(g+h-1) (2p)^(hg); the closed
-    form is np = n^((h-1)(g-1)/(hg-1)) / 2.  The defining equation is
-    re-checked to relative 1e-9 on every call.
+    form is np = n^e / 2 with e = (h-1)(g-1)/(hg-1).  Since e < 1,
+    p = n^(e-1) / 2 <= 1/2 for every n >= 1.
     """
     check_hg(h, g)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     np_val = 0.5 * n ** _weak_exponent(h, g)
-    p = np_val / n
-    if p > 1.0:
-        raise ParameterError(f"n={n} too small for (h,g)=({h},{g}): density {p} > 1")
-    lhs = 2.0 * p * n
-    rhs = math.exp((g + h - 1) * math.log(n) + h * g * math.log(2.0 * p))
-    if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs)):
-        raise RuntimeError(f"density equation residual too large: {lhs} vs {rhs}")
-    return p, np_val
+    return np_val / n, np_val
 
 
 def weak_lower_bound(n: int, h: int, g: int) -> float:

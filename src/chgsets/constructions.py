@@ -249,9 +249,9 @@ def detect_bad(sample: GSet, h: int, g: int) -> GSet:
 
 def _most_under_cap(h: int, subset_cap: int) -> int:
     """The largest m with C(m, h) <= subset_cap, for subset_cap >= 1."""
-    lo, hi = h, 2 * h  # C(lo, h) <= subset_cap < C(hi, h) once the doubling stops
+    lo, hi = h, h + 1  # C(lo, h) <= subset_cap < C(hi, h) once hi - h stops doubling
     while math.comb(hi, h) <= subset_cap:
-        lo, hi = hi, 2 * hi
+        lo, hi = hi, 2 * hi - h
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if math.comb(mid, h) <= subset_cap else (lo, mid)

@@ -115,7 +115,8 @@ def find_irreducible(q: int, h: int, cap: int = DEFAULT_FIELD_CAP) -> tuple:
         raise ParameterError(f"base {q} is not prime")
     if h < 2:
         raise ParameterError(f"extension degree must be >= 2, got {h}")
-    if q**h > cap:
+    # q^h >= 2^h > cap once h reaches the cap's bit length: no power is built
+    if h >= cap.bit_length() or q**h > cap:
         raise ResourceCapError(f"field size {q}^{h} exceeds cap {cap}")
     for c in iter_product(range(q), repeat=h):
         f = (*reversed(c), 1)

@@ -253,8 +253,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
 
     Level 1 comes from the difference table (``diff_rows``): one pass
     counts each difference d, the offset count of {0, d}, and keeps those
-    reaching ``least``.  A second pass, one loop for every h, intersects
-    each element k's differences with level 1 once and lists k among the
+    reaching ``least``.  A second pass, one loop for every h, looks each
+    of element k's differences up in level 1 once and lists k among the
     offsets of each hit; for h > 2 it also sets the hits' bits in k's row,
     an int bitmask over level 1, bit j set when k + d_j is in the host.
     Carry-save counters over a node's rows give the children with enough
@@ -289,9 +289,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
     width = (len(level1) + 7) // 8
     rows = []
     for i in range(m):
-        hits = map(index.__getitem__, index.keys() & diffs(i))
+        hits = [j for j in map(index.get, diffs(i)) if j is not None]
         if h > 2:
-            hits = list(hits)
             bits = bytearray(width)
             for j in hits:
                 bits[j >> 3] |= 1 << (j & 7)

@@ -255,7 +255,12 @@ def _counter(n: int, h: int, g: int, top: int | None = None):
     n^(h−1) is at most ``_PLANE_KEYS``, the dict above it.  Measured per
     window, the planes win every window at h ≤ 4 (up to 10×) and at h=5 up
     to n=26 (2^18.8 keys); at h=6 they lose from 2^15 keys, under a
-    millisecond a window below the cut but 6× at n=16 (2^20 keys)."""
+    millisecond a window below the cut but 6× at n=16 (2^20 keys).
+
+    Both are built for h and g at most n + 1: the window holds no
+    (n+1)-subset and no class with n members, so a larger h or g refuses
+    no add either, and would only cost levels and planes."""
+    h, g = min(h, n + 1), min(g, n + 1)
     return (_PlaneCounter if n ** (h - 1) <= _PLANE_KEYS else _DictCounter)(n, h, g, top)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from chgsets import (
     weak_lower_bound,
     zarankiewicz_bound,
 )
+from chgsets.bounds import _weak_exponent
 
 
 class TestMainTerm:
@@ -76,6 +78,32 @@ class TestSampleDensity:
         rhs = n ** (g + h - 1) * (2 * p) ** (h * g)
         assert abs(lhs - rhs) <= 1e-9 * max(lhs, rhs)
         assert p == np_val / n
+
+    @staticmethod
+    def check_exponent(n, h, g):
+        # with 2p = n^(e-1), 2pn = n^(g+h-1) (2p)^(hg) reads
+        # e = (g+h-1) + (e-1)hg in the exponents: solve it exactly
+        e = Fraction(g + h - 1 - h * g, 1 - h * g)
+        assert (g + h - 1) + (e - 1) * h * g == e
+        assert _weak_exponent(h, g) == float(e)
+        np_val = n ** float(e) / 2
+        assert sample_density(n, h, g) == (np_val / n, np_val)
+        assert np_val / n <= 0.5
+
+    @given(
+        st.integers(2, 10**8).flatmap(lambda h: st.tuples(st.just(h), st.integers(h, 10**8))),
+        st.integers(1, 10**9),
+    )
+    def test_exponent_solves_the_defining_equation(self, hg, n):
+        self.check_exponent(n, *hg)
+
+    @pytest.mark.parametrize("h, g", [(2, 2), (2, 10**7), (200_000, 200_000), (2, 10**8),
+                                      (10**8, 10**8)])
+    @pytest.mark.parametrize("n", [1, 2, 10**5, 10**9])
+    def test_exponent_at_extreme_parameters(self, n, h, g):
+        # (2, 10^7) and (200000, 200000) at n = 10^5 failed a float re-check
+        # of the defining equation, which holds identically
+        self.check_exponent(n, h, g)
 
     def test_density_never_above_one(self):
         for n in (1, 2, 5, 100):

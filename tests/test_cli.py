@@ -446,6 +446,32 @@ class TestTracedBenchmarkRun:
         assert result["failed"] == 0
 
 
+class TestHugeParameters:
+    """Sizes are compared before anything is built from them, so huge h, g
+    or n^e answer at once, with a report or a cap exit, never a traceback."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("bounds --n 100000 --h 2 --g 10000000", 0),
+        ("construct weak --n 100000 --h 2 --g 10000000 --seed 1", 0),
+        ("construct weak --n 100000 --h 200000 --g 200000 --seed 1", 0),
+        ("construct norm --q 3 --h 10000000", 3),
+        ("construct norm --q 3 --h 100000000", 3),
+        ("search --n-max 3 --h 1000000 --g 1000000", 0),
+        ("search --n-max 3 --h 10000000 --g 10000000", 0),
+        ("search --n-max 3 --h 100000000 --g 100000000", 0),
+        ("search --n-max 5 --h 2 --g 10000000", 0),
+        ("search --n-max 5 --h 3 --g 10000000", 0),
+    ])
+    def test_exit_without_traceback(self, tmp_path, argv, expected):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "chgsets", *argv.split()], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == expected, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "--set", str(FIXTURES / "ap5.txt"), "--h", "two", "--g", "2"),

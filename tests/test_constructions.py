@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,8 +93,6 @@ class TestSphereSet:
 class TestNormSet:
     @pytest.mark.parametrize("q,h,size", [(2, 2, 3), (3, 2, 4), (2, 3, 7), (5, 2, 6)])
     def test_sizes(self, q, h, size):
-        import math
-
         a, guarantee = norm_set(q, h)
         assert len(a) == size == (q**h - 1) // (q - 1)
         assert guarantee == math.factorial(h) + 1
@@ -285,6 +286,24 @@ class TestDetectBad:
         bad = set(detect_bad(s, h, g).elems)
         survivors = gset(Interval(60), sorted(set(elems) - bad))
         assert verify_weak_chg(survivors, h, g).holds
+
+
+class TestMostUnderCap:
+    def test_matches_linear_scan(self):
+        # every C(m, h) up to 10^8 is a cap, as are one less and one more
+        for h in range(2, 61):
+            sizes = []  # sizes[k] = C(h + k, h)
+            while not sizes or sizes[-1] <= 10**8:
+                sizes.append(math.comb(h + len(sizes), h))
+            caps = {1, 2, 10**8} | {c + i for c in sizes[:-1] for i in (-1, 0, 1)}
+            for cap in sorted(c for c in caps if c >= 1):
+                most = h + bisect_right(sizes, cap) - 1
+                assert constructions._most_under_cap(h, cap) == most, (h, cap)
+
+    def test_large_h_builds_no_large_binomial(self):
+        # doubling from m = 2h would build C(400000, 200000) first
+        assert constructions._most_under_cap(200_000, 10**8) == 200_001
+        assert constructions._most_under_cap(10**8, 1) == 10**8
 
 
 class TestWeakRandomSet:

@@ -74,6 +74,16 @@ class TestIrreducible:
         with pytest.raises(ResourceCapError):
             find_irreducible(2, 2, cap=2)
 
+    @pytest.mark.parametrize("q", [r for r in range(70) if is_prime(r)])
+    def test_cap_refuses_exactly_above_it(self, q):
+        for h in range(2, 14):
+            # 2^h - 1 and below are refused without building q^h
+            for cap in {1, 2, 2**h - 1, q**h // 2, q**h - 1}:
+                message = rf"^field size {q}\^{h} exceeds cap {cap}$"
+                with pytest.raises(ResourceCapError, match=message):
+                    find_irreducible(q, h, cap)
+        assert find_irreducible(q, 2, cap=q**2)[-1] == 1
+
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):
             ExtField(2, 2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over F_2

@@ -238,6 +238,26 @@ class TestSameTree:
         assert sum(r.nodes_explored for r in table) == nodes
         assert table[-1].best_set.elems == last
 
+    @staticmethod
+    def rows(n_max, h, g):
+        return ([(r.best_size, r.best_set.elems, r.nodes_explored, r.optimal)
+                 for r in max_table(n_max, h, g)], greedy_chg(n_max, h, g).elems)
+
+    @pytest.mark.parametrize("h", [8, 50, 10**8])
+    def test_h_above_the_window_acts_as_window_plus_one(self, h):
+        # a window of n <= 6 holds no h-subset for any h >= 7, so every
+        # window is its own maximum
+        table, greedy = self.rows(6, h, h)
+        assert (table, greedy) == self.rows(6, 7, 7)
+        assert [size for size, *_ in table] == list(range(1, 7))
+        assert greedy == tuple(range(6))
+
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("g", [50, 10**7])
+    def test_g_above_the_window_acts_as_window_plus_one(self, h, g):
+        # no class in a window of n <= 6 has 6 members
+        assert self.rows(6, h, g) == self.rows(6, h, 7)
+
 
 def _snapshot(counter):
     if isinstance(counter, search._PlaneCounter):
