@@ -21,7 +21,7 @@ _EXPORTS = {
     "bounds": ("counting_ratio", "group_bound", "main_term_bound", "main_term_error_order",
                "sample_density", "weak_lower_bound", "zarankiewicz_bound"),
     "constructions": ("detect_bad", "embedded_c33", "freiman_embed", "largest_prime_cube_fit",
-                      "norm_set", "rewindow", "sphere_alpha", "sphere_set", "weak_random_set"),
+                      "norm_set", "sphere_alpha", "sphere_set", "weak_random_set"),
     "errors": ("ParameterError", "ResourceCapError", "RetryExhaustedError"),
     "fields": ("ExtField", "ext_field", "ext_mul", "ext_pow", "find_irreducible", "is_prime",
                "iter_field", "norm", "quadratic_character"),

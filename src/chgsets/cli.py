@@ -150,8 +150,6 @@ def _cmd_construct_norm(args) -> dict:
     gs, guarantee = norm_set(args.q, args.h)
     if args.embed:
         gs = freiman_embed(gs)
-        window = 2 ** (args.h - 1) * args.q**args.h
-        gs = rewindow(gs, window)
     return _constructed("construct norm",
                         {"q": args.q, "h": args.h, "g": guarantee, "embed": bool(args.embed),
                          "out": args.out},

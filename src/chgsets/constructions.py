@@ -160,7 +160,8 @@ def freiman_embed(xs: GSet) -> GSet:
 
     With base 2q adding two images never carries; that makes the map
     transport all two-element sums faithfully in both directions.  The
-    image window is exactly large enough for the digit range.
+    window is (2q)^d / 2 = 2^(d-1) q^d, the paper's: every image is at most
+    (q - 1)((2q)^d - 1)/(2q - 1), which is below it.
     """
     if not isinstance(xs.group, Product):
         raise ParameterError("freiman_embed expects a product-group set")
@@ -170,17 +171,7 @@ def freiman_embed(xs: GSet) -> GSet:
     values = [sum(c * w for c, w in zip(x, weights)) for x in xs.elems]
     if len(set(values)) != len(values):
         raise RuntimeError("digit map collided (impossible for base >= modulus)")
-    window = (m - 1) * sum(weights) + 1
-    return gset(Interval(window), values)
-
-
-def rewindow(xs: GSet, n: int) -> GSet:
-    """The same interval set inside a window of size n (must fit)."""
-    if not isinstance(xs.group, Interval):
-        raise ParameterError("rewindow expects an interval set")
-    if xs.elems and xs.elems[-1] >= n:
-        raise ParameterError(f"element {xs.elems[-1]} does not fit window {n}")
-    return GSet(Interval(n), xs.elems)
+    return gset(Interval(base**d // 2), values)
 
 
 def largest_prime_cube_fit(n: int) -> int:
@@ -197,8 +188,8 @@ def embedded_c33(n: int, p: int | None = None) -> GSet:
     """A C_3[3]-set inside the integer window of size n.
 
     Takes the sphere set for the odd prime p, by default the largest with
-    4p^3 <= n, and maps it through the carry-free digit map with base 2p;
-    all values stay below 4p^3 <= n, and the size is at least p^2 - p.
+    4p^3 <= n, and maps it through the carry-free digit map with base 2p,
+    whose window (2p)^3 / 2 = 4p^3 fits in n; the size is at least p^2 - p.
     """
     if p is None:
         if n < 108:
@@ -206,8 +197,7 @@ def embedded_c33(n: int, p: int | None = None) -> GSet:
         p = largest_prime_cube_fit(n)
     elif 4 * p**3 > n:
         raise ParameterError(f"4*{p}^3 does not fit window {n}")
-    image = freiman_embed(sphere_set(p))
-    result = rewindow(image, n)
+    result = gset(Interval(n), freiman_embed(sphere_set(p)).elems)
     if len(result) < p * p - p:
         raise RuntimeError("embedded sphere lost elements (impossible)")
     return result

@@ -3,8 +3,8 @@
 Three ambient kinds are supported: the cyclic group Z_n, the coordinate
 product Z_q^d, and the integer interval of size n viewed as a subset of Z.
 The interval is *not* a group under its addition: translation is plain
-integer addition, sums may leave the window, and containment questions are
-the business of whoever asked for the translate.
+integer addition and a translate may leave the window, but a set's
+elements may not: ``gset`` holds them to [0, n) as it holds Z_n's.
 
 Elements are plain ints (cyclic / interval) or d-tuples of ints (product),
 always reduced to canonical residues for the group kinds.  The natural
@@ -67,9 +67,8 @@ class Product(Value):
 class Interval(Value):
     """The integer window of size n inside Z, stored 0-based.
 
-    Not a group: addition is ordinary integer addition and may leave the
-    window.  Element validity only requires a non-negative integer; the
-    operations that promise containment in [0, n) assert it themselves.
+    Not a group: addition is ordinary integer addition, and a translate
+    may leave the window.  A set's elements lie in [0, n).
     """
 
     __slots__ = ("n",)
@@ -96,11 +95,8 @@ def validate_elem(group, e):
         return e
     if not isinstance(e, int) or isinstance(e, bool):
         raise ParameterError(f"expected an int element for {group}, got {e!r}")
-    if isinstance(group, Cyclic):
-        if not 0 <= e < group.n:
-            raise ParameterError(f"element {e} out of range for {group}")
-    elif e < 0:
-        raise ParameterError(f"interval elements must be >= 0, got {e}")
+    if not 0 <= e < group.n:
+        raise ParameterError(f"element {e} out of range for {group}")
     return e
 
 

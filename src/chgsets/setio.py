@@ -63,10 +63,6 @@ def elem_from_text(group, text: str):
 
 def set_to_text(gs: GSet) -> str:
     lines = [f"# group={group_to_string(gs.group)}"]
-    if isinstance(gs.group, Interval) and gs.elems and gs.elems[-1] >= gs.group.n:
-        raise ParameterError(
-            f"element {gs.elems[-1]} does not fit the 1-based window 1..{gs.group.n}"
-        )
     lines.extend(elem_to_text(gs.group, e) for e in gs.elems)
     return "\n".join(lines) + "\n"
 

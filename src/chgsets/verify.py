@@ -98,23 +98,19 @@ def find_disjoint_translates(pattern: GSet, shifts, g: int):
             cover.append([b])
     if len(cover) < g:
         return None
-    chosen: list = []
-
-    def rec(start: int) -> bool:
-        if len(chosen) == g:
-            return True
-        for i in range(start, len(shifts)):
-            if len(shifts) - i < g - len(chosen):
-                return False
-            b = shifts[i]
-            if all(sub(group, b, c) not in diffs for c in chosen):
-                chosen.append(b)
-                if rec(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if rec(0) else None
+    # backtrack by a loop over the picked indices, so g sets no depth limit
+    picked: list = []
+    i = 0
+    while len(picked) < g:
+        if len(shifts) - i < g - len(picked):
+            if not picked:
+                return None
+            i = picked.pop() + 1
+            continue
+        if all(sub(group, shifts[i], shifts[j]) not in diffs for j in picked):
+            picked.append(i)
+        i += 1
+    return tuple(shifts[j] for j in picked)
 
 
 def verify_weak_chg(target: GSet, h: int, g: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Verdict:

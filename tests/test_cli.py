@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,14 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr()
     report = json.loads(out.out) if out.out.startswith("{") else out.out or None
     return code, report, out.err
+
+
+def run_module(cwd, *argv):
+    """``python -m chgsets argv`` in a fresh interpreter, run in ``cwd``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "chgsets", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=30)
 
 
 def strip_volatile(report):
@@ -463,13 +472,21 @@ class TestHugeParameters:
         ("search --n-max 5 --h 3 --g 10000000", 0),
     ])
     def test_exit_without_traceback(self, tmp_path, argv, expected):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "chgsets", *argv.split()], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=30)
+        proc = run_module(tmp_path, *argv.split())
         assert proc.returncode == expected, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_weak_verify_past_the_recursion_limit(self, tmp_path):
+        # g = 1000 disjoint translates are picked by a loop, not g nested calls
+        lines = ["# group=interval:2100", *map(str, range(1, 2101))]
+        (tmp_path / "all.txt").write_text("\n".join(lines) + "\n")
+        proc = run_module(tmp_path, "verify", "--set", "all.txt", "--h", "2", "--g", "1000",
+                          "--weak")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        witness = json.loads(proc.stdout)["verdict"]["witness"]
+        assert witness["pattern"] == [0, 1]
+        assert witness["bases"] == list(range(1, 2000, 2))
 
 
 class TestUsageErrors:
@@ -561,6 +578,17 @@ class TestLazyLoading:
         section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
         example = section.split("```python\n", 1)[1].split("```", 1)[0]
         exec(compile(example, "README.md", "exec"), {})
+
+    def test_readme_cli_block_runs(self, tmp_path):
+        # the block's commands in order, without [optional] parts and # comments
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```\n", 1)[1].split("```", 1)[0]
+        for line in block.splitlines():
+            command, *argv = re.sub(r"\[[^]]*\]", "", line.split("#", 1)[0]).split()
+            assert command == "chgsets"
+            proc = run_module(tmp_path, *argv)
+            assert proc.returncode == 0, (line, proc.stderr)
 
 
 # One invocation per handler branch and exit code.  The input files of

@@ -17,12 +17,12 @@ from chgsets import (
     freiman_embed,
     gset,
     is_prime,
+    iter_elements,
     iter_field,
     largest_prime_cube_fit,
     norm,
     norm_set,
     quadratic_character,
-    rewindow,
     sphere_alpha,
     sphere_set,
     verify_chg,
@@ -148,6 +148,13 @@ class TestFreimanEmbed:
         with pytest.raises(ParameterError, match="expects a product-group set"):
             freiman_embed(gset(Interval(5), [0]))
 
+    @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 4), (5, 3)])
+    def test_window_is_half_base_power(self, q, d):
+        # the whole of Z_q^d fits the window (2q)^d / 2
+        image = freiman_embed(gset(Product(q, d), iter_elements(Product(q, d))))
+        assert image.group == Interval((2 * q) ** d // 2)
+        assert len(image) == q**d
+
     def test_injective(self):
         g = Product(3, 3)
         xs = gset(g, [(a, b, c) for a in range(3) for b in range(3) for c in range(3)])
@@ -215,7 +222,7 @@ class TestEmbeddedC33:
 
     @pytest.mark.parametrize("n,p", [(108, 3), (200, 3), (500, 5), (5000, 7), (5488, 11)])
     def test_explicit_prime(self, n, p):
-        want = rewindow(freiman_embed(sphere_set(p)), n)
+        want = gset(Interval(n), freiman_embed(sphere_set(p)).elems)
         assert embedded_c33(n, p) == want
         if largest_prime_cube_fit(n) == p:
             assert embedded_c33(n) == want
@@ -237,19 +244,6 @@ class TestSidonBaseline:
         assert len(a) == p
         assert a.group == Interval(2 * p * p)
         assert verify_chg(a, 2, 2).holds
-
-
-class TestRewindow:
-    def test_widening(self):
-        a = gset(Interval(10), [2, 5])
-        assert rewindow(a, 50).group == Interval(50)
-
-    def test_too_small(self):
-        a = gset(Interval(10), [2, 9])
-        with pytest.raises(ParameterError):
-            rewindow(a, 9)
-        with pytest.raises(ParameterError, match="expects an interval set"):
-            rewindow(gset(Product(3, 2), [(0, 1)]), 9)
 
 
 class TestDetectBad:

@@ -319,6 +319,8 @@ class TestValidation:
             gset(Product(3, 2), [(1, 2, 0)])
         with pytest.raises(ParameterError):
             gset(Interval(5), [-1])
+        with pytest.raises(ParameterError, match="element 5 out of range for Interval"):
+            gset(Interval(5), [5])
         with pytest.raises(ParameterError, match="out of range for"):
             gset(Product(3, 2), [(1, 3)])
         with pytest.raises(ParameterError, match="expected an int element"):
