@@ -16,9 +16,9 @@ keys and rows of keys, never on tuples.
 
 ``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
 into translation classes; every verifier and the bad-element detection read
-their answers from it.  It searches the zero-anchored patterns depth-first
-in key order and carries each prefix's offsets, the host elements k with
-k + prefix inside the host.  A class is kept by its offset count, the g of
+their answers from it.  It searches the zero-anchored patterns depth first
+by an explicit stack, level 1 as the roots, in key order, and carries each
+prefix's offsets, the host elements k with k + prefix inside the host.  A class is kept by its offset count, the g of
 the C_h[g] definition; offsets only shrink as a pattern grows, so a prefix
 with fewer offsets than wanted is pruned.  The first level comes from the
 difference table; one pass over each element's differences lists offsets
@@ -225,27 +225,27 @@ def enumerate_pattern_classes(host: GSet, h: int, min_offsets: int = 1,
     """
     if h < 2:
         raise ParameterError(f"pattern size h must be >= 2, got {h}")
-    classes = _pattern_classes(host, h, max(min_offsets, 1))
-    if stop is None:
-        return list(classes)
-    out = []
-    for pc in classes:
-        out.append(pc)
-        if len(pc.bases) >= stop:
+    classes = []
+    for pc in _pattern_classes(host, h, max(min_offsets, 1)):
+        classes.append(pc)
+        if stop is not None and len(pc.bases) >= stop:
             break
-    return out
+    return classes
 
 
 def _pattern_classes(host: GSet, h: int, least: int):
     """The classes of ``enumerate_pattern_classes``, yielded in pattern
     order as the search finds them, each with at least ``least`` offsets.
 
-    A depth-first search over the zero-anchored patterns (0, d1, ..., d_{h-1}),
-    d1 < ... < d_{h-1} in element-key order, so patterns come out in pattern
-    order.  A node carries its offsets: the host elements k with
-    k + prefix inside the host.  A pattern's offsets are a subset of its
-    prefix's offsets, so a child that keeps fewer than ``least`` offsets is
-    pruned exactly.
+    A search over the zero-anchored patterns (0, d1, ..., d_{h-1}),
+    d1 < ... < d_{h-1} in element-key order, depth first by an explicit
+    stack, level 1 as the roots, so patterns come out in pattern order and
+    h sets no depth limit.  A node carries its offsets: the host elements k
+    with k + prefix inside the host.  A pattern's offsets are a subset of
+    its prefix's offsets, so a child that keeps fewer than ``least`` offsets
+    is pruned exactly.  A node's children are pushed as its offsets and the
+    child's index, and each filters them only when popped: a search that
+    ends at a witness builds no sibling after it.
 
     Level 1 comes from the difference table (``diff_rows``): one pass
     counts each difference d, the offset count of {0, d}, and keeps those
@@ -258,8 +258,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
 
     In Z a pattern's minimum is 0, so every pattern found is canonical.  On
     group kinds a class has one zero-anchored pattern P - p for each p in P,
-    all with the same offset count: ``emit`` keeps a leaf only when no
-    P - p sorts before P.  ``bases`` lists every offset in ascending order.
+    all with the same offset count: a leaf is kept only when no P - p sorts
+    before P.  ``bases`` lists every offset in ascending order.
     """
     group, elems = host.group, host.elems
     m = len(elems)
@@ -294,33 +294,31 @@ def _pattern_classes(host: GSet, h: int, least: int):
         for j in hits:
             offsets[j].append(i)
 
-    def emit(digits, offs):
-        anchored = [0, *digits]
-        if not interval and min(map(sorted, diff_rows(group, anchored, anchored))) < anchored:
-            return None
-        pattern = tuple(elem_from_key(group, k) for k in anchored)
-        return PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
-
-    def grow(digits, offs, last):
-        # ge[t]: the bits set in more than t of the rows of offs
-        ge = [0] * least
-        for row in map(rows.__getitem__, offs):
-            for t in range(least - 1, 0, -1):
-                ge[t] |= ge[t - 1] & row
-            ge[0] |= row
-        above = ge[-1] >> (last + 1) << (last + 1)
-        while above:
-            low = above & -above
-            above ^= low
-            j = low.bit_length() - 1
-            kids = [i for i in offs if rows[i] & low]
-            if len(digits) + 2 < h:
-                yield from grow(digits + (level1[j],), kids, j)
-            elif pc := emit(digits + (level1[j],), kids):
-                yield pc
-
-    for j, (d, offs) in enumerate(zip(level1, offsets)):
-        if h > 2:
-            yield from grow((d,), offs, j)
-        elif pc := emit((d,), offs):
-            yield pc
+    # one stack per level-1 root: (prefix digits, prefix offsets, level-1
+    # index of the next digit); a root's offsets come filtered from level 1
+    for root, offs in enumerate(offsets):
+        stack = [((), offs, root)]
+        while stack:
+            digits, offs, j = stack.pop()
+            if digits:
+                bit = 1 << j
+                offs = [i for i in offs if rows[i] & bit]
+            digits += (level1[j],)
+            if len(digits) == h - 1:
+                anchored = [0, *digits]
+                if interval or min(map(sorted, diff_rows(group, anchored, anchored))) == anchored:
+                    pattern = tuple(elem_from_key(group, k) for k in anchored)
+                    yield PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
+                continue
+            # ge[t]: the bits set in more than t of the rows of offs
+            ge = [0] * least
+            for row in map(rows.__getitem__, offs):
+                for t in range(least - 1, 0, -1):
+                    ge[t] |= ge[t - 1] & row
+                ge[0] |= row
+            # the children past j, pushed last first so they pop in key order
+            above = ge[-1] >> (j + 1) << (j + 1)
+            while above:
+                k = above.bit_length() - 1
+                above ^= 1 << k
+                stack.append((digits, offs, k))

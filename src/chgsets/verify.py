@@ -184,9 +184,10 @@ def check_kgh_free(zm: ZMatrix, h: int, g: int, subset_cap: int = DEFAULT_SUBSET
     """Holds iff no g x h all-ones submatrix exists (g rows, h columns).
 
     Walks the h-subsets of columns (h <= g makes that the cheap side)
-    depth-first in lexicographic order, carrying the intersection of the
-    chosen columns as a bitset, and prunes a prefix whose intersection has
-    fewer than g rows: adding columns only shrinks it.  Since b + c = c + b
+    depth first by an explicit stack in lexicographic order, so h sets no
+    depth limit, carrying the intersection of the chosen columns as a
+    bitset, and prunes a prefix whose intersection has fewer than g rows:
+    adding columns only shrinks it.  Since b + c = c + b
     the matrix is symmetric, so the rows serve as the columns.  A witness
     is the lexicographically first such column set (pattern) and its first
     g all-ones rows (bases).  That set holds column 0, the zero: a column
@@ -198,19 +199,20 @@ def check_kgh_free(zm: ZMatrix, h: int, g: int, subset_cap: int = DEFAULT_SUBSET
     n = zm.n
     cols = zm.rows
 
-    def first(chosen, inter, start):
-        if len(chosen) == h:
-            return chosen, inter
-        for j in range(start, n - h + len(chosen) + 1):
+    # (columns, common rows), popped in lexicographic order; a column set
+    # is pushed only with g common rows, and the root, never a leaf as
+    # h >= 2, needs no check of its own
+    stack = [((0,), cols[0])]
+    while stack:
+        combo, inter = stack.pop()
+        if len(combo) == h:
+            break
+        for j in range(n - h + len(combo), combo[-1], -1):
             rows = inter & cols[j]
-            if rows.bit_count() >= g and (found := first(chosen + (j,), rows, j + 1)):
-                return found
-        return None
-
-    found = first((0,), cols[0], 1) if cols[0].bit_count() >= g else None
-    if found is None:
+            if rows.bit_count() >= g:
+                stack.append((combo + (j,), rows))
+    else:
         return Verdict(True)
-    combo, inter = found
     rows = [i for i in range(n) if inter >> i & 1][:g]
     pattern = GSet(zm.source.group, tuple(zm.elements[j] for j in combo))
     return Verdict(False, Witness(pattern, tuple(zm.elements[i] for i in rows)))

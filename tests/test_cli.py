@@ -488,6 +488,17 @@ class TestHugeParameters:
         assert witness["pattern"] == [0, 1]
         assert witness["bases"] == list(range(1, 2000, 2))
 
+    def test_zmatrix_past_the_recursion_limit(self, tmp_path):
+        # h = 1099 columns are chosen by a loop over a stack, not h nested calls
+        lines = ["# group=cyclic:1100", *map(str, range(1100))]
+        (tmp_path / "all.txt").write_text("\n".join(lines) + "\n")
+        proc = run_module(tmp_path, "zmatrix", "--set", "all.txt", "--g", "1099", "--h", "1099",
+                          "--order-cap", "2000")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        witness = json.loads(proc.stdout)["verdict"]["witness"]
+        assert witness["pattern"] == witness["bases"] == list(range(1099))
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

@@ -116,7 +116,7 @@ def whole_class(xs):
 
 
 class TestCanonicalize:
-    # the canonical rule of the kernel's emit, on the whole set
+    # the canonical rule of the kernel's leaf filter, on the whole set
     def test_interval_subtracts_min(self):
         g = Interval(20)
         pat, shifts = whole_class(gset(g, [4, 7, 9]))

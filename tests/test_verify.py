@@ -446,6 +446,24 @@ class TestFirstWitness:
         assert verify_chg(host, h, g).holds
         assert returned == [0]
 
+    def test_deep_pattern_under_a_low_recursion_limit(self):
+        # a 149-element pattern is 148 levels deep: the kernel walks them by
+        # a stack, not by nested calls, so a limit of 100 frames is no bound
+        code = ("import json, sys\n"
+                "from chgsets import Cyclic, gset, verify_chg\n"
+                "sys.setrecursionlimit(100)\n"
+                "w = verify_chg(gset(Cyclic(150), range(150)), 149, 149).witness\n"
+                "print(json.dumps([w.pattern.elems, w.bases]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        verdict = verify_chg(gset(Cyclic(150), range(150)), 149, 149)
+        assert not verdict.holds
+        assert verdict.witness.pattern.elems == verdict.witness.bases == tuple(range(149))
+        assert json.loads(proc.stdout) == [list(range(149))] * 2
+
 
 class TestVerifyWeak:
     def test_disjoint_pair_found(self):
