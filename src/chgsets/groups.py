@@ -15,17 +15,20 @@ encoding: a product element packs into b-bit digits with 2^(b-1) >= q, so
 keys and rows of keys, never on tuples.
 
 ``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
-into translation classes; every verifier and the bad-element detection read
-their answers from it.  It searches the zero-anchored patterns depth first
-by an explicit stack, level 1 as the roots, in key order, and carries each
-prefix's offsets, the host elements k with k + prefix inside the host.  A class is kept by its offset count, the g of
-the C_h[g] definition; offsets only shrink as a pattern grows, so a prefix
-with fewer offsets than wanted is pruned.  The first level comes from the
-difference table; one pass over each element's differences lists offsets
-and, for h > 2, builds the int bitmask rows that deeper levels intersect,
-so the work and the memory follow the host's differences, never the size
-of the ambient.  A caller that needs one witness (``stop``) ends the search
-at the first class with enough offsets.
+into translation classes; every verifier, the sum-matrix check and the
+bad-element detection read their answers from it.  It searches the
+zero-anchored patterns depth first by an explicit stack, level 1 as the
+roots, in key order, and carries each prefix's offsets, the host elements
+k with k + prefix inside the host.  A class is kept by its offset count,
+the g of the C_h[g] definition; offsets only shrink as a pattern grows, so
+a prefix with fewer offsets than wanted is pruned.  The first level comes
+from the difference table; one pass over each element's differences lists
+offsets and, for h > 2, builds the int bitmask rows that deeper levels
+intersect, so the work and the memory follow the host's differences, never
+the size of the ambient.  A node counts, bit by bit, the rows that hold
+it or, when fewer can miss it, the rows that miss it.  A caller that needs
+one witness (``stop``) ends the search at the first class with enough
+offsets.
 
 Interval sets are stored 0-based internally; file and CLI output shift
 them to the 1-based window {1, ..., n}.
@@ -254,7 +257,11 @@ def _pattern_classes(host: GSet, h: int, least: int):
     offsets of each hit; for h > 2 it also sets the hits' bits in k's row,
     an int bitmask over level 1, bit j set when k + d_j is in the host.
     Carry-save counters over a node's rows give the children with enough
-    offsets.  Mask widths follow the differences, never the ambient.
+    offsets, counting the rarer side: a bit set in at least ``least`` of
+    r rows is clear in fewer than miss = r - least + 1, so when miss <
+    least, miss counters run over the complemented rows and the top one is
+    complemented back.  A dense host at large g costs a few counters per
+    row, not g.  Mask widths follow the differences, never the ambient.
 
     In Z a pattern's minimum is 0, so every pattern found is canonical.  On
     group kinds a class has one zero-anchored pattern P - p for each p in P,
@@ -283,6 +290,7 @@ def _pattern_classes(host: GSet, h: int, least: int):
     index = {d: j for j, d in enumerate(level1)}
     offsets = [[] for _ in level1]
     width = (len(level1) + 7) // 8
+    full = (1 << len(level1)) - 1
     rows = []
     for i in range(m):
         hits = [j for j in map(index.get, diffs(i)) if j is not None]
@@ -310,14 +318,19 @@ def _pattern_classes(host: GSet, h: int, least: int):
                     pattern = tuple(elem_from_key(group, k) for k in anchored)
                     yield PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
                 continue
-            # ge[t]: the bits set in more than t of the rows of offs
-            ge = [0] * least
-            for row in map(rows.__getitem__, offs):
-                for t in range(least - 1, 0, -1):
+            # the rarer side: set in >= least rows is clear in < miss rows
+            need, flip, picked = least, 0, map(rows.__getitem__, offs)
+            miss = len(offs) - least + 1
+            if miss < least:
+                need, flip, picked = miss, full, map(full.__xor__, picked)
+            # ge[t]: the bits set in more than t of the picked rows
+            ge = [0] * need
+            for row in picked:
+                for t in range(need - 1, 0, -1):
                     ge[t] |= ge[t - 1] & row
                 ge[0] |= row
             # the children past j, pushed last first so they pop in key order
-            above = ge[-1] >> (j + 1) << (j + 1)
+            above = (ge[-1] ^ flip) >> (j + 1) << (j + 1)
             while above:
                 k = above.bit_length() - 1
                 above ^= 1 << k

@@ -324,7 +324,7 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
     counter = _counter(n, h, g, n - 1 if held else None)
     chosen = counter.elems
     add, undo = counter.add, counter.undo
-    pairs = h == 2 and isinstance(counter, _PlaneCounter)
+    pairs = h == 2  # max_table keeps h = 2 windows on the planes (see _counter)
     nodes = 0
 
     def bound(last):

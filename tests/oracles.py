@@ -98,6 +98,29 @@ def _exists_disjoint(xmask, offsets, g, chosen=()):
     return False
 
 
+def naive_pattern_classes(group, elems, h, least):
+    """(pattern, offsets) of each translation class of h-subsets of the set
+    with at least ``least`` offsets, in pattern order: the h-subsets of the
+    ambient (of the window, for an interval) that hold its zero, in
+    lexicographic order, each with every k that puts pattern + k inside
+    the set.  A group class is kept at the first of its patterns met, its
+    least; in Z each class has one pattern holding 0 as its minimum."""
+    members = set(elems)
+    ambient = list(iter_elements(group))
+    seen = set()
+    classes = []
+    for tail in combinations(ambient[1:], h - 1):
+        pattern = (ambient[0], *tail)
+        if frozenset(pattern) in seen:
+            continue
+        if not isinstance(group, Interval):
+            seen.update(frozenset(add(group, x, k) for x in pattern) for k in ambient)
+        offsets = tuple(k for k in ambient if all(add(group, x, k) in members for x in pattern))
+        if len(offsets) >= least:
+            classes.append((pattern, offsets))
+    return classes
+
+
 def naive_is_chg_group(group, elems, h, g):
     """Full enumeration over the finite ambient: every h-pattern, every offset."""
     members = set(elems)

@@ -489,11 +489,24 @@ class TestHugeParameters:
         assert witness["bases"] == list(range(1, 2000, 2))
 
     def test_zmatrix_past_the_recursion_limit(self, tmp_path):
-        # h = 1099 columns are chosen by a loop over a stack, not h nested calls
+        # the sum-matrix check reads the class kernel: its h = 1099 levels
+        # are a loop over a stack, not h nested calls, and at g = 1099 of
+        # 1100 offsets each node counts the rows that miss a bit
         lines = ["# group=cyclic:1100", *map(str, range(1100))]
         (tmp_path / "all.txt").write_text("\n".join(lines) + "\n")
         proc = run_module(tmp_path, "zmatrix", "--set", "all.txt", "--g", "1099", "--h", "1099",
                           "--order-cap", "2000")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        witness = json.loads(proc.stdout)["verdict"]["witness"]
+        assert witness["pattern"] == witness["bases"] == list(range(1099))
+
+    def test_verify_at_a_threshold_close_to_the_size(self, tmp_path):
+        # g = 1099 of 1100 offsets: counting the rows that hold a bit would
+        # take 1099 counters a node, counting those that miss it takes two
+        lines = ["# group=cyclic:1100", *map(str, range(1100))]
+        (tmp_path / "all.txt").write_text("\n".join(lines) + "\n")
+        proc = run_module(tmp_path, "verify", "--set", "all.txt", "--h", "1099", "--g", "1099")
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         witness = json.loads(proc.stdout)["verdict"]["witness"]

@@ -18,7 +18,7 @@ from chgsets import (
     sub,
 )
 from chgsets.groups import diff_rows
-from oracles import add, stabilizer, translate
+from oracles import add, naive_pattern_classes, stabilizer, translate
 
 
 def groups_strategy():
@@ -51,6 +51,19 @@ def group_and_set():
 # Z_2^4, and in both every difference has 16 offsets
 WHOLE_PRODUCT_2_4 = (Product(2, 4), list(iter_elements(Product(2, 4))))
 WHOLE_CYCLIC_16 = (Cyclic(16), list(range(16)))
+
+
+def dense_set():
+    """Whole groups and windows and their complements of up to three
+    elements: hosts whose offset counts lie close to |A|."""
+    group = st.one_of(
+        st.integers(4, 14).map(Cyclic),
+        st.sampled_from([Product(2, 4), Product(4, 2)]),
+        st.integers(4, 16).map(Interval),
+    )
+    return group.flatmap(
+        lambda g: st.lists(st.sampled_from(list(iter_elements(g))), max_size=3, unique=True)
+        .map(lambda gone: gset(g, set(iter_elements(g)) - set(gone))))
 
 
 class TestAdd:
@@ -284,6 +297,18 @@ class TestPatternClasses:
         if isinstance(group, Interval):
             # in Z no pattern is periodic, so offsets == member subsets
             assert sum(len(pc.bases) for pc in classes) == math.comb(len(host), h)
+
+    @given(dense_set(), st.integers(2, 4), st.integers(0, 16))
+    @example(gset(Cyclic(12), range(12)), 3, 7)
+    @example(gset(Cyclic(12), set(range(12)) - {0, 5}), 4, 4)
+    @example(gset(Interval(16), set(range(16)) - {3}), 3, 9)
+    def test_dense_hosts_match_the_oracle(self, host, h, extra):
+        # least from h up to |A|: a node with fewer than 2·least − 1 offsets
+        # counts the rows that miss a bit, the others those that hold it
+        assume(h <= len(host))
+        least = min(h + extra, len(host))
+        got = [(pc.pattern.elems, pc.bases) for pc in enumerate_pattern_classes(host, h, least)]
+        assert got == naive_pattern_classes(host.group, host.elems, h, least)
 
     @given(group_and_set(), st.integers(2, 5))
     @example(WHOLE_PRODUCT_2_4, 2)

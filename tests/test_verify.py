@@ -30,7 +30,7 @@ from chgsets import (
     verify_weak_chg,
     write_set,
 )
-from chgsets.verify import Witness, ZMatrix, check_kgh_params, find_disjoint_translates
+from chgsets.verify import Witness, check_kgh_params, find_disjoint_translates
 from oracles import (
     add,
     naive_first_block,
@@ -651,26 +651,6 @@ class TestKghFree:
         with pytest.raises(ParameterError, match="need g >= h"):
             check_kgh_params(a, 3, 2)
 
-    def test_walk_is_anchored_at_the_zero_column(self):
-        # every violating column set has a translate through column 0, so on
-        # a K_{3,2}-free matrix the walk tries column 0 with each other
-        # column once: n - 1 intersections, not the C(n, 2) + n - 1 of a
-        # walk over every pair
-        class Column(int):
-            ands = 0
-
-            def __and__(self, other):
-                Column.ands += 1
-                return int.__and__(self, other)
-
-            __rand__ = __and__
-
-        zm = build_zmatrix(norm_set(19, 2)[0])
-        counted = ZMatrix(zm.n, tuple(map(Column, zm.rows)), zm.elements, zm.source)
-        assert check_kgh_free(counted, 2, 3).holds
-        assert Column.ands <= zm.n - 1 == 360
-
-
     @given(small_group_set(), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
     def test_witness_is_first_block(self, a, hg):
         h, g = hg
@@ -770,4 +750,15 @@ class TestMatrixConsistency:
         # the h-set of columns; the lexicographically first such column set
         # contains 0, so it is the least canonical pattern with g offsets
         h, g = hg
-        assert check_kgh_free(build_zmatrix(a), h, g) == verify_chg(a, h, g)
+        zm = build_zmatrix(a)
+        block = None
+        for cols in combinations(range(zm.n), h):
+            rows = [i for i, row in enumerate(zm.rows) if all(row >> j & 1 for j in cols)]
+            if len(rows) >= g:
+                block = tuple(zm.elements[j] for j in cols), tuple(zm.elements[i] for i in rows[:g])
+                break
+        assert block == naive_first_block(a.group, a.elems, h, g)
+        verdict = verify_chg(a, h, g)
+        assert verdict.holds == (block is None)
+        if block is not None:
+            assert (verdict.witness.pattern.elems, verdict.witness.bases) == block
