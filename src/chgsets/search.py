@@ -6,7 +6,9 @@ ascending order, include-branch first, with incremental translation-class
 counts: adding an element is rejected as soon as any class would reach g
 members.  Since translating a valid set downward keeps it valid, the
 search fixes the window's first element into the set, which only discards
-translates of solutions found elsewhere.
+translates of solutions found elsewhere.  Each walk returns whether the
+search must stop: at the node cap, or once the best set reaches the
+ceiling M(n-1) + 1 set out below.
 
 A node whose next element is e prunes when the chosen elements plus the
 most that the rest of the window could add cannot beat the best set so
@@ -74,17 +76,11 @@ _FALLBACK_N_LIMIT = 16
 _PLANE_KEYS = 1 << 17
 
 
-class _NodeCapHit(Exception):
-    pass
-
-
-class _CeilingReached(Exception):
-    pass
-
-
 class SearchResult(Value):
     """The best set found for one window, the nodes explored, and whether
-    the search ran to completion."""
+    it is a maximum.  ``optimal`` is False only when the node cap stopped
+    the search short of the ceiling; such a row reports exactly
+    ``node_cap`` nodes."""
 
     __slots__ = ("n", "h", "g", "best_size", "best_set", "nodes_explored", "optimal")
 
@@ -334,34 +330,34 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
                       for e in range(1, n + 1)]
 
     def improve():
-        # keep the chosen set and the held n-1 if they beat the best set
+        # keep the chosen set and the held n-1 if they beat the best set;
+        # report whether the best set has reached the ceiling
         nonlocal best_size, best_elems
         if len(chosen) + held > best_size:
             best_size = len(chosen) + held
             best_elems = (*chosen, n - 1) if held else tuple(chosen)
-            if best_size >= ceiling:
-                raise _CeilingReached
+        return best_size >= ceiling
 
-    def rec(next_elem: int, rest: list, reflect: bool) -> None:
-        # the include branch recurses, the exclude branch is the next turn
+    def rec(next_elem: int, rest: list, reflect: bool) -> bool:
+        # the include branch recurses, the exclude branch is the next turn;
+        # True when the search must stop: the node cap or the ceiling
         nonlocal nodes
+        inner = rest  # the include branch's bound
         while True:
+            if nodes == node_cap:
+                return True
             nodes += 1
-            if nodes > node_cap:
-                raise _NodeCapHit
             if len(chosen) + rest[next_elem] <= best_size:
-                return
+                return False
             if add(next_elem):
-                improve()
                 if reflect:  # a_1 = next_elem: its mirror image n-1-a_1 caps the rest
-                    last = n - 1 - next_elem
-                    rec(next_elem + 1, bound(lambda e: last), False)
-                else:
-                    rec(next_elem + 1, rest, False)
+                    inner = bound(lambda e: n - 1 - next_elem)
+                if improve() or rec(next_elem + 1, inner, False):
+                    return True
                 undo()
             next_elem += 1
 
-    def rec_pairs(next_elem: int, last: int, rest: list, reflect: bool) -> None:
+    def rec_pairs(next_elem: int, last: int, rest: list, reflect: bool) -> bool:
         # rec for h=2 on the planes: the loop visits only the open positions
         # in next_elem..last, and their count and the free gaps bound the rest
         nonlocal nodes
@@ -372,46 +368,39 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
         room = n - 1 - chosen[-1]
         fewer = _least_gaps(full, best_size + 1 - k, g - 1, room)
         if fewer is None:
-            return
+            return False
         stop = n - 1 - fewer  # the first new element leaves room for the rest
         opened = ~_blocked(full, chosen) & (2 << last) - 1 >> next_elem << next_elem
         count = opened.bit_count()
+        inner_last, inner = last, rest  # the include branch's range and bound
         while opened:
             x = (opened & -opened).bit_length() - 1
             if x > stop:
-                return
+                return False
+            if nodes == node_cap:
+                return True
             nodes += 1
-            if nodes > node_cap:
-                raise _NodeCapHit
             if k + min(rest[x], held + count) <= best_size:
-                return
+                return False
             opened &= opened - 1
             count -= 1
             if add(x):
-                improve()
                 if reflect:
-                    rec_pairs(x + 1, n - 1 - x, bound(lambda e: n - 1 - x), False)
-                else:
-                    rec_pairs(x + 1, last, rest, False)
+                    inner_last, inner = n - 1 - x, bound(lambda e: n - 1 - x)
+                if improve() or rec_pairs(x + 1, inner_last, inner, False):
+                    return True
                 undo()
+        return False
 
-    optimal = True
-    try:
-        # fix element 0 into the set: any valid set translates down to one
-        # of the same size whose minimum is the window's first element
-        add(0)  # {0, n-1} is valid for every h, g >= 2
-        if held or best_size < ceiling:
-            # with n-1 held, of a set and its mirror image keep one with
-            # a_1 <= n-1-a_(k-1): while a_1 is open, the rest lies in e..n-1-e
-            rest = bound(lambda e: n - 1 - held * e)
-            if pairs:
-                rec_pairs(1, n - 1 - held, rest, bool(held))
-            else:
-                rec(1, rest, bool(held))
-    except _NodeCapHit:
-        optimal = False
-    except _CeilingReached:
-        pass
+    # fix element 0 into the set: any valid set translates down to one of the
+    # same size whose minimum is the window's first element
+    add(0)  # {0, n-1} is valid for every h, g >= 2
+    stopped = False
+    if best_size < ceiling:
+        # with n-1 held, of a set and its mirror image keep one with
+        # a_1 <= n-1-a_(k-1): while a_1 is open, the rest lies in e..n-1-e
+        rest = bound(lambda e: n - 1 - held * e)
+        stopped = rec_pairs(1, n - 1 - held, rest, bool(held)) if pairs else rec(1, rest, bool(held))
     # rec reaches itself through its closure: break that cycle so the
     # counter's planes are freed here, not at the next garbage collection
     del rec, rec_pairs
@@ -419,6 +408,8 @@ def _search_window(n: int, h: int, g: int, node_cap: int, seed: GSet, doll) -> S
     verdict = verify_chg(result_set, h, g)
     if not verdict.holds:
         raise RuntimeError("search returned an invalid set (broken counter)")
+    # a walk stopped short of the ceiling by the node cap leaves the row unproven
+    optimal = not stopped or best_size >= ceiling
     return SearchResult(n, h, g, best_size, result_set, nodes, optimal)
 
 

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -205,6 +206,34 @@ class TestMaxTable:
                     cut += 1
         assert cut and optimal
 
+    @pytest.mark.parametrize("n_max, h, g", [(20, 2, 2), (12, 3, 3), (14, 2, 3)])
+    def test_node_cap_counts_visited_positions(self, n_max, h, g):
+        # a cap of the largest row's count cuts nothing; one less cuts that
+        # row, and a cut row reports the positions it visited, not the one
+        # the cap refused
+        uncapped = max_table(n_max, h, g)
+        most = max(r.nodes_explored for r in uncapped)
+        assert max_table(n_max, h, g, node_cap=most) == uncapped
+        capped = max_table(n_max, h, g, node_cap=most - 1)
+        assert not all(r.optimal for r in capped)
+        for r in capped:
+            assert r.nodes_explored <= most - 1
+            assert r.optimal or r.nodes_explored == most - 1
+
+    def test_no_counter_outlives_its_window(self):
+        # the walks reach themselves through their closures; with the
+        # collector off, a counter is freed only if the search breaks that
+        # cycle
+        gc.collect()
+        gc.disable()
+        try:
+            for n_max, h, g in ((20, 3, 3), (12, 2, 2), (12, 6, 6)):
+                max_table(n_max, h, g)
+            counters = (search._PlaneCounter, search._DictCounter)
+            assert not [o for o in gc.get_objects() if isinstance(o, counters)]
+        finally:
+            gc.enable()
+
     def test_cut_row_counts_as_its_window(self, monkeypatch):
         # row 3 cut off holding {0, 1} although M(3) = 3: if that 2 fed the
         # bound, row 4 would stop at 3 and call it optimal (M(4) = 4)
@@ -230,6 +259,9 @@ class TestSameTree:
         [
             (32, 2, 2_396, (0, 1, 4, 10, 18, 23, 25)),
             (20, 3, 10_648, (0, 1, 2, 3, 6, 10, 11, 13, 15, 17, 18)),
+            # the largest tables the search allows, past the benchmark's
+            (28, 3, 771_190, (0, 1, 2, 3, 6, 8, 11, 13, 17, 20, 21, 23, 24)),
+            (54, 2, 122_045, (0, 1, 5, 12, 25, 27, 35, 41, 44)),
         ],
     )
     def test_benchmark_tables_pinned(self, n_max, h, nodes, last):
