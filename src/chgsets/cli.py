@@ -15,11 +15,18 @@ Only errors and rng load at start-up.  groups, setio and verify load inside
 the subcommands that handle a set, and bounds, constructions, fields, search
 and csv inside those that use them, so each run pays start-up only for the
 code it runs: ``--help`` loads nothing more, ``bounds`` only bounds.
+
+``run``, the process entry point, calls ``main`` and then ``gc.freeze()``,
+so the interpreter's shutdown skips collecting the heap object by object
+(about 5 ms a run); ``main`` freezes nothing, because tests and library
+callers run it in-process and keep collecting.  Every file a command
+writes is closed inside ``main``, and streams are still flushed at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -379,5 +386,12 @@ def main(argv=None) -> int:
     return EXIT_OK if verdict is None or verdict["holds"] else EXIT_VERIFY_FAILED
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run() -> None:
+    """The process entry point of ``python -m chgsets`` and the ``chgsets``
+    script: exit with ``main``'s code, the heap frozen first."""
+    try:
+        code = main()
+    finally:
+        # also on the SystemExit of --help and of a usage error
+        gc.freeze()
+    raise SystemExit(code)

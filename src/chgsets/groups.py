@@ -266,7 +266,10 @@ def _pattern_classes(host: GSet, h: int, least: int):
     In Z a pattern's minimum is 0, so every pattern found is canonical.  On
     group kinds a class has one zero-anchored pattern P - p for each p in P,
     all with the same offset count: a leaf is kept only when no P - p sorts
-    before P.  ``bases`` lists every offset in ascending order.
+    before P.  sorted(P - d1) starts (0, x) with x <= -d1, so a root d1
+    whose negation sorts before it is not walked: its leaves would all be
+    dropped.  An element of order 2 is its own negation and is walked.
+    ``bases`` lists every offset in ascending order.
     """
     group, elems = host.group, host.elems
     m = len(elems)
@@ -287,6 +290,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
         diffs = table.__getitem__
         level = table
     level1 = sorted(d for d, c in Counter(chain.from_iterable(level)).items() if c >= least and d)
+    # the key of -d for each root d; in Z every root is walked
+    neg = level1 if interval else [row[0] for row in diff_rows(group, level1, [0])]
     index = {d: j for j, d in enumerate(level1)}
     offsets = [[] for _ in level1]
     width = (len(level1) + 7) // 8
@@ -305,6 +310,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
     # one stack per level-1 root: (prefix digits, prefix offsets, level-1
     # index of the next digit); a root's offsets come filtered from level 1
     for root, offs in enumerate(offsets):
+        if neg[root] < level1[root]:
+            continue
         stack = [((), offs, root)]
         while stack:
             digits, offs, j = stack.pop()

@@ -1,30 +1,38 @@
 import csv
+import gc
 import importlib.util
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import tomllib
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from chgsets import norm_set, write_set
+from chgsets import cli, norm_set, write_set
 from chgsets.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).parents[1]
 
 
+def parsed(out):
+    """A run's stdout: the parsed report, other text as is, or None."""
+    return json.loads(out) if out.startswith("{") else out or None
+
+
 def run_cli(capsys, *argv):
-    """Exit code, stdout (the parsed report, other text as is, or None) and stderr."""
+    """Exit code, stdout (``parsed``) and stderr."""
     try:
         code = main(list(argv))
     except SystemExit as exc:  # --help and usage errors
         code = exc.code
     out = capsys.readouterr()
-    report = json.loads(out.out) if out.out.startswith("{") else out.out or None
-    return code, report, out.err
+    return code, parsed(out.out), out.err
 
 
 def run_module(cwd, *argv):
@@ -702,14 +710,15 @@ def golden_inputs():
     }
 
 
-def replay(capsys, argv, inputs):
-    """Run one invocation in the working directory and return what the
-    golden file records of it: exit code, report minus its volatile fields
-    (or the text on stdout), stderr, and every file the run wrote."""
+def replay(run, argv, inputs):
+    """Run one invocation by ``run`` (argv to exit code, stdout and stderr)
+    in the working directory and return what the golden file records of
+    it: exit code, report minus its volatile fields (or the text on
+    stdout), stderr, and every file the run wrote."""
     for name, text in inputs.items():
         Path(name).write_text(text, encoding="utf-8", errors="surrogateescape")
     before = set(os.listdir())
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run(*argv)
     written = {name: Path(name).read_text(encoding="utf-8")
                for name in sorted(set(os.listdir()) - before)}
     if isinstance(out, dict):
@@ -734,12 +743,72 @@ class TestGoldenReports:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap by it
         expected = golden["entries"][index]
-        got = replay(capsys, expected["argv"], golden["inputs"])
+        got = replay(partial(run_cli, capsys), expected["argv"], golden["inputs"])
         assert got == expected
         report = got["out"]
         if isinstance(report, dict):
             assert (got["exit"] == 2) == (report["verdict"] is not None
                                           and report["verdict"]["holds"] is False)
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_ARGV)),
+                             ids=[" ".join(argv) or "(none)" for argv in GOLDEN_ARGV])
+    def test_replay_through_the_process_entry(self, monkeypatch, tmp_path, golden, index):
+        # python -m chgsets exits through cli.run, which freezes the heap:
+        # no report, message or written file may be lost on the way out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def run_process(*argv):
+            proc = run_module(tmp_path, *argv)
+            return proc.returncode, parsed(proc.stdout), proc.stderr
+
+        expected = golden["entries"][index]
+        assert replay(run_process, expected["argv"], golden["inputs"]) == expected
+
+
+class TestProcessEntry:
+    # cli.run alone freezes the heap, and every process entry is cli.run
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    def test_main_freezes_nothing(self, capsys, tmp_path):
+        before = gc.get_freeze_count()
+        set_file = tmp_path / "ap5.txt"
+        set_file.write_text((FIXTURES / "ap5.txt").read_text(encoding="utf-8"), encoding="utf-8")
+        assert run_cli(capsys, "verify", "--set", str(set_file), "--h", "3", "--g", "3",
+                       "--weak")[0] == 0
+        assert run_cli(capsys, "verify", "--set", str(set_file), "--h", "2", "--g", "2")[0] == 2
+        assert run_cli(capsys, "--help")[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "--set", "ap5.txt", "--h", "3", "--g", "3", "--weak"), 0),
+        (("verify", "--set", "ap5.txt", "--h", "2", "--g", "2"), 2),
+        (("--help",), 0),
+    ])
+    def test_run_exits_with_mains_code_frozen(self, capsys, monkeypatch, tmp_path, unfreeze,
+                                              argv, code):
+        monkeypatch.chdir(tmp_path)
+        Path("ap5.txt").write_text((FIXTURES / "ap5.txt").read_text(encoding="utf-8"),
+                                   encoding="utf-8")
+        monkeypatch.setattr(sys, "argv", ["chgsets", *argv])
+        assert run_cli(capsys, *argv)[0] == code
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == code
+        assert gc.get_freeze_count() > 0
+
+    def test_every_entry_is_run(self, monkeypatch):
+        # the chgsets script and python -m chgsets
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        module, name = project["scripts"]["chgsets"].split(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+        called = []
+        monkeypatch.setattr(cli, "run", lambda: called.append("run"))
+        runpy.run_module("chgsets", run_name="__main__")
+        assert called == ["run"]
 
 
 if __name__ == "__main__":
@@ -765,7 +834,7 @@ if __name__ == "__main__":
             os.chdir(work)
             cap = Captured()  # one per run: run_cli reads it once
             with contextlib.redirect_stdout(cap.out), contextlib.redirect_stderr(cap.err):
-                entries.append(replay(cap, argv, inputs))
+                entries.append(replay(partial(run_cli, cap), argv, inputs))
             os.chdir(ROOT)
     GOLDEN.write_text(json.dumps({"inputs": inputs, "entries": entries}, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
