@@ -17,9 +17,10 @@ keys and rows of keys, never on tuples.
 ``enumerate_pattern_classes`` is the one batch kernel that sorts h-subsets
 into translation classes; every verifier, the sum-matrix check and the
 bad-element detection read their answers from it.  It searches the
-zero-anchored patterns depth first by an explicit stack, level 1 as the
-roots, in key order, and carries each prefix's offsets, the host elements
-k with k + prefix inside the host.  A class is kept by its offset count,
+zero-anchored patterns depth first, in key order, on one stack with one
+entry per depth: a prefix, its offsets (the host elements k with k +
+prefix inside the host) and the mask of its children not yet taken; each
+pop takes one child, the least.  A class is kept by its offset count,
 the g of the C_h[g] definition; offsets only shrink as a pattern grows, so
 a prefix with fewer offsets than wanted is pruned.  The first level comes
 from the difference table; one pass over each element's differences lists
@@ -241,34 +242,40 @@ def _pattern_classes(host: GSet, h: int, least: int):
     order as the search finds them, each with at least ``least`` offsets.
 
     A search over the zero-anchored patterns (0, d1, ..., d_{h-1}),
-    d1 < ... < d_{h-1} in element-key order, depth first by an explicit
-    stack, level 1 as the roots, so patterns come out in pattern order and
-    h sets no depth limit.  A node carries its offsets: the host elements k
-    with k + prefix inside the host.  A pattern's offsets are a subset of
-    its prefix's offsets, so a child that keeps fewer than ``least`` offsets
-    is pruned exactly.  A node's children are pushed as its offsets and the
-    child's index, and each filters them only when popped: a search that
-    ends at a witness builds no sibling after it.
+    d1 < ... < d_{h-1} in element-key order, depth first on one stack, so
+    patterns come out in pattern order and h sets no depth limit.  A stack
+    entry is a prefix, its offsets (the host elements k with k + prefix
+    inside the host) and a mask over level 1 of its children not yet taken;
+    the first entry is the empty prefix with the walked roots as children.
+    A pop takes the least child, pushes the rest back if any remain, and
+    filters the prefix's offsets down to the child's; a child that is not a
+    leaf is pushed with its own children on top.  So the stack holds at most
+    one entry per depth, h - 1 in all, and a search that ends at a witness
+    builds no sibling after it.  A pattern's offsets are a subset of its
+    prefix's offsets, so a child that keeps fewer than ``least`` offsets is
+    pruned exactly.
 
     Level 1 comes from the difference table (``diff_rows``): one pass
     counts each difference d, the offset count of {0, d}, and keeps those
     reaching ``least``.  A second pass, one loop for every h, looks each
     of element k's differences up in level 1 once and lists k among the
-    offsets of each hit; for h > 2 it also sets the hits' bits in k's row,
-    an int bitmask over level 1, bit j set when k + d_j is in the host.
-    Carry-save counters over a node's rows give the children with enough
-    offsets, counting the rarer side: a bit set in at least ``least`` of
-    r rows is clear in fewer than miss = r - least + 1, so when miss <
-    least, miss counters run over the complemented rows and the top one is
-    complemented back.  A dense host at large g costs a few counters per
-    row, not g.  Mask widths follow the differences, never the ambient.
+    offsets of each walked root it hits; for h > 2 it also sets the hits'
+    bits in k's row, an int bitmask over level 1, bit j set when k + d_j
+    is in the host.  Carry-save counters over a node's rows give the
+    children with enough offsets, counting the rarer side: a bit set in at
+    least ``least`` of r rows is clear in fewer than miss = r - least + 1,
+    so when miss < least, miss counters run over the complemented rows and
+    the top one is complemented back.  A dense host at large g costs a few
+    counters per row, not g.  Mask widths follow the differences, never
+    the ambient.
 
     In Z a pattern's minimum is 0, so every pattern found is canonical.  On
     group kinds a class has one zero-anchored pattern P - p for each p in P,
     all with the same offset count: a leaf is kept only when no P - p sorts
     before P.  sorted(P - d1) starts (0, x) with x <= -d1, so a root d1
-    whose negation sorts before it is not walked: its leaves would all be
-    dropped.  An element of order 2 is its own negation and is walked.
+    whose negation sorts before it is neither walked nor given an offset
+    list: its leaves would all be dropped.  An element of order 2 is its
+    own negation and is walked.
     ``bases`` lists every offset in ascending order.
     """
     group, elems = host.group, host.elems
@@ -293,7 +300,8 @@ def _pattern_classes(host: GSet, h: int, least: int):
     # the key of -d for each root d; in Z every root is walked
     neg = level1 if interval else [row[0] for row in diff_rows(group, level1, [0])]
     index = {d: j for j, d in enumerate(level1)}
-    offsets = [[] for _ in level1]
+    # offset lists for the walked roots only; a skipped root's is None
+    offsets = [[] if n >= d else None for d, n in zip(level1, neg)]
     width = (len(level1) + 7) // 8
     full = (1 << len(level1)) - 1
     rows = []
@@ -305,40 +313,40 @@ def _pattern_classes(host: GSet, h: int, least: int):
                 bits[j >> 3] |= 1 << (j & 7)
             rows.append(int.from_bytes(bits, "little"))
         for j in hits:
-            offsets[j].append(i)
+            if offsets[j] is not None:
+                offsets[j].append(i)
 
-    # one stack per level-1 root: (prefix digits, prefix offsets, level-1
-    # index of the next digit); a root's offsets come filtered from level 1
-    for root, offs in enumerate(offsets):
-        if neg[root] < level1[root]:
+    # one stack of (prefix digits, prefix offsets, mask of the children not
+    # yet taken); the empty prefix's offsets are None, for its children are
+    # the walked roots, whose offsets come listed from level 1
+    roots = sum(1 << j for j, offs in enumerate(offsets) if offs is not None)
+    stack = [((), None, roots)] if roots else []
+    while stack:
+        digits, offs, kids = stack.pop()
+        # take the least child; its siblings wait below its own children
+        bit = kids & -kids
+        if rest := kids ^ bit:
+            stack.append((digits, offs, rest))
+        j = bit.bit_length() - 1
+        offs = offsets[j] if offs is None else [i for i in offs if rows[i] & bit]
+        digits += (level1[j],)
+        if len(digits) == h - 1:
+            anchored = [0, *digits]
+            if interval or min(map(sorted, diff_rows(group, anchored, anchored))) == anchored:
+                pattern = tuple(elem_from_key(group, k) for k in anchored)
+                yield PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
             continue
-        stack = [((), offs, root)]
-        while stack:
-            digits, offs, j = stack.pop()
-            if digits:
-                bit = 1 << j
-                offs = [i for i in offs if rows[i] & bit]
-            digits += (level1[j],)
-            if len(digits) == h - 1:
-                anchored = [0, *digits]
-                if interval or min(map(sorted, diff_rows(group, anchored, anchored))) == anchored:
-                    pattern = tuple(elem_from_key(group, k) for k in anchored)
-                    yield PatternClass(GSet(group, pattern), tuple(map(elems.__getitem__, offs)))
-                continue
-            # the rarer side: set in >= least rows is clear in < miss rows
-            need, flip, picked = least, 0, map(rows.__getitem__, offs)
-            miss = len(offs) - least + 1
-            if miss < least:
-                need, flip, picked = miss, full, map(full.__xor__, picked)
-            # ge[t]: the bits set in more than t of the picked rows
-            ge = [0] * need
-            for row in picked:
-                for t in range(need - 1, 0, -1):
-                    ge[t] |= ge[t - 1] & row
-                ge[0] |= row
-            # the children past j, pushed last first so they pop in key order
-            above = (ge[-1] ^ flip) >> (j + 1) << (j + 1)
-            while above:
-                k = above.bit_length() - 1
-                above ^= 1 << k
-                stack.append((digits, offs, k))
+        # the rarer side: set in >= least rows is clear in < miss rows
+        need, flip, picked = least, 0, map(rows.__getitem__, offs)
+        miss = len(offs) - least + 1
+        if miss < least:
+            need, flip, picked = miss, full, map(full.__xor__, picked)
+        # ge[t]: the bits set in more than t of the picked rows
+        ge = [0] * need
+        for row in picked:
+            for t in range(need - 1, 0, -1):
+                ge[t] |= ge[t - 1] & row
+            ge[0] |= row
+        above = (ge[-1] ^ flip) >> (j + 1) << (j + 1)
+        if above:
+            stack.append((digits, offs, above))

@@ -94,7 +94,8 @@ def write_set(path, gs: GSet) -> None:
 
 def read_set(path) -> GSet:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some editors write first
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParameterError(f"set file {path} is not UTF-8 text: {exc}") from None

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from chgsets import cli, norm_set, write_set
+from chgsets import cli, norm_set, read_set, write_set
 from chgsets.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -235,6 +235,21 @@ class TestVerifyCommand:
         assert code == 4
         assert report is None
         assert "parameter error" in err and "Traceback" not in err
+
+    def test_byte_order_mark_file(self, capsys, tmp_path):
+        # a Windows editor may write a UTF-8 byte-order mark before the header
+        text = b"# group=cyclic:7\n0\n1\n2\n3\n"
+        runs, sets = [], []
+        for name, data in (("plain.txt", text), ("bom.txt", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            sets.append(read_set(path))
+            code, report, err = run_cli(capsys, "verify", "--set", str(path), "--h", "2", "--g", "2")
+            assert report is not None, err
+            del report["params"]["set"]
+            runs.append((code, strip_volatile(report)))
+        assert sets[0] == sets[1] and runs[0] == runs[1]
+        assert runs[0][0] == 2 and runs[0][1]["verdict"]["holds"] is False
 
 
 class TestSearchCommand:

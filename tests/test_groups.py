@@ -17,7 +17,7 @@ from chgsets import (
     order,
     sub,
 )
-from chgsets.groups import diff_rows
+from chgsets.groups import _pattern_classes, diff_rows
 from oracles import add, naive_pattern_classes, stabilizer, translate
 
 
@@ -350,6 +350,23 @@ class TestPatternClasses:
                 k for k in ambient if all(add(group, x, k) in members for x in pc.pattern.elems)
             ]
             assert list(pc.bases) == expected
+
+    @pytest.mark.parametrize(
+        "host, h, least",
+        [
+            (gset(Cyclic(12), range(12)), 3, 1),
+            (gset(*WHOLE_CYCLIC_16), 4, 2),
+            (gset(Interval(16), range(16)), 3, 1),
+            (gset(*WHOLE_PRODUCT_2_4), 3, 1),
+        ],
+        ids=["Z_12", "Z_16", "interval16", "Z_2^4"],
+    )
+    def test_one_stack_entry_per_depth(self, host, h, least):
+        # a pop takes one child and leaves its siblings in one entry, so
+        # the stack holds at most one entry per prefix length, 0 to h - 2
+        gen = _pattern_classes(host, h, least)
+        for _ in gen:
+            assert len(gen.gi_frame.f_locals["stack"]) <= h - 1
 
 
 class TestValidation:
